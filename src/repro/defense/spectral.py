@@ -22,6 +22,7 @@ import numpy as np
 
 from ..datasets.dataset import HeatmapDataset
 from ..models.cnn_lstm import CNNLSTMClassifier
+from ..nn import Tensor
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,10 @@ def sample_representations(
     x = np.asarray(x, dtype=model.dtype)
     features = model.frame_features(x, batch_size=max(batch_size * 4, 64))
     outputs = []
-    was_training = model.training
-    model.eval()
-    try:
-        from ..nn import Tensor
-
+    with model.inference():
         for start in range(0, len(features), batch_size):
             chunk = Tensor(features[start : start + batch_size])
             outputs.append(model.lstm(chunk).data)
-    finally:
-        if was_training:
-            model.train()
     return np.concatenate(outputs)
 
 

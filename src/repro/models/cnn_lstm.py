@@ -129,15 +129,10 @@ class CNNLSTMClassifier(Module):
         n, t = sequences.shape[:2]
         flat = sequences.reshape(n * t, *sequences.shape[2:])
         chunks = []
-        was_training = self.training
-        self.eval()
-        try:
+        with self.inference():
             for start in range(0, len(flat), batch_size):
                 chunk = Tensor(flat[start : start + batch_size])
                 chunks.append(self.encoder(chunk).data)
-        finally:
-            if was_training:
-                self.train()
         return np.concatenate(chunks).reshape(n, t, self.config.feature_dim)
 
     def classify_feature_series(self, features: np.ndarray) -> np.ndarray:
@@ -149,14 +144,9 @@ class CNNLSTMClassifier(Module):
         features = np.asarray(features, dtype=self.dtype)
         if features.ndim == 2:
             features = features[None]
-        was_training = self.training
-        self.eval()
-        try:
+        with self.inference():
             hidden = self.lstm(Tensor(features))
             return self.head(hidden).data
-        finally:
-            if was_training:
-                self.train()
 
     # ------------------------------------------------------------------
     # Inference conveniences
@@ -166,16 +156,11 @@ class CNNLSTMClassifier(Module):
         sequences = np.asarray(sequences, dtype=self.dtype)
         if sequences.ndim == 3:
             sequences = sequences[None]
-        was_training = self.training
-        self.eval()
         outputs = []
-        try:
+        with self.inference():
             for start in range(0, len(sequences), batch_size):
                 batch = Tensor(sequences[start : start + batch_size])
                 outputs.append(self.forward(batch).data)
-        finally:
-            if was_training:
-                self.train()
         return np.concatenate(outputs)
 
     def predict(self, sequences: np.ndarray, batch_size: int = 32) -> np.ndarray:

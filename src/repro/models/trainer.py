@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn import Adam, Tensor, clip_grad_norm, cross_entropy
+from ..nn import Adam, Tensor, clip_grad_norm, cross_entropy, no_grad
 from ..nn.serialization import (
     load_arrays,
     load_checkpoint,
@@ -447,11 +447,12 @@ class Trainer:
         model.eval()
         total_loss = 0.0
         predictions = []
-        for begin in range(0, len(x), self.config.batch_size):
-            batch_x = Tensor(x[begin : begin + self.config.batch_size])
-            batch_y = y[begin : begin + self.config.batch_size]
-            logits = model(batch_x)
-            total_loss += cross_entropy(logits, batch_y).item() * len(batch_y)
-            predictions.append(logits.data.argmax(axis=1))
+        with no_grad():
+            for begin in range(0, len(x), self.config.batch_size):
+                batch_x = Tensor(x[begin : begin + self.config.batch_size])
+                batch_y = y[begin : begin + self.config.batch_size]
+                logits = model(batch_x)
+                total_loss += cross_entropy(logits, batch_y).item() * len(batch_y)
+                predictions.append(logits.data.argmax(axis=1))
         predictions_arr = np.concatenate(predictions)
         return total_loss / len(x), accuracy(predictions_arr, y)

@@ -41,7 +41,7 @@ from .schedules import (
     warmup,
 )
 from .serialization import load_checkpoint, save_checkpoint
-from .tensor import Tensor, concat, stack
+from .tensor import Parameter, Tensor, concat, is_grad_enabled, no_grad, stack
 
 __all__ = [
     "Adam",
@@ -58,6 +58,7 @@ __all__ = [
     "MaxPool2d",
     "Module",
     "Optimizer",
+    "Parameter",
     "ReLU",
     "SGD",
     "ScheduledOptimizer",
@@ -72,12 +73,14 @@ __all__ = [
     "cross_entropy",
     "dropout",
     "functional",
+    "is_grad_enabled",
     "kaiming_uniform",
     "linear",
     "load_checkpoint",
     "log_softmax",
     "max_pool2d",
     "mse_loss",
+    "no_grad",
     "orthogonal",
     "save_checkpoint",
     "softmax",

@@ -2,25 +2,38 @@
 
 These complement the elementwise/linear-algebra primitives on
 :class:`~repro.nn.tensor.Tensor` with the image ops the frame CNN needs.
-Convolution uses an ``as_strided`` im2col with a ``np.add.at`` col2im
-backward — the standard NumPy formulation.
+
+Convolution is shaped for BLAS: ``_im2col`` lays the input out as one
+``(C*kh*kw, N*out_h*out_w)`` column matrix (a strided window view copied
+once), so the forward pass and both gradients are each a single 2-D GEMM
+and the bias gradient one row sum.  ``_col2im`` adds column gradients
+back with one strided add per kernel tap.  Max pooling (stride == kernel)
+is an elementwise maximum over the window's taps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor
 
 
 def _im2col(
     data: np.ndarray, kernel: tuple[int, int], stride: int, padding: int
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Expand ``(N, C, H, W)`` into ``(N, C*kh*kw, out_h*out_w)`` patches."""
+    """Expand ``(N, C, H, W)`` into ``(C*kh*kw, N*out_h*out_w)`` columns.
+
+    Rows follow the weight's ``(c, i, j)`` flattening; columns run over
+    ``(n, y, x)`` output positions.
+    """
     n, c, h, w = data.shape
     kh, kw = kernel
     if padding:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        # Channel-major padding buffer: the column rows are channel-major,
+        # and conv2d's own outputs already are.
+        padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=data.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = data.transpose(1, 0, 2, 3)
+        data = padded.transpose(1, 0, 2, 3)
         h += 2 * padding
         w += 2 * padding
     out_h = (h - kh) // stride + 1
@@ -28,12 +41,11 @@ def _im2col(
     sn, sc, sh, sw = data.strides
     windows = np.lib.stride_tricks.as_strided(
         data,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        shape=(c, kh, kw, n, out_h, out_w),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    cols = windows.reshape(n, c * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols), (out_h, out_w)
+    return windows.reshape(c * kh * kw, n * out_h * out_w), (out_h, out_w)
 
 
 def _col2im(
@@ -44,20 +56,26 @@ def _col2im(
     padding: int,
     out_size: tuple[int, int],
 ) -> np.ndarray:
-    """Scatter-add column gradients back into the input layout."""
+    """Add ``(C*kh*kw, N*out_h*out_w)`` column gradients back into ``(N, C, H, W)``.
+
+    One strided add per kernel tap.  The adds run channel-last, reading
+    ``cols.T`` (free when ``cols`` is the transpose of a row-major GEMM
+    result, as ``conv2d``'s backward produces).
+    """
     n, c, h, w = input_shape
     kh, kw = kernel
     out_h, out_w = out_size
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    reshaped = cols.reshape(n, c, kh, kw, out_h, out_w)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    taps = cols.T.reshape(n, out_h, out_w, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            padded[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += (
-                reshaped[:, :, i, j]
+            padded[:, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += (
+                taps[..., i, j]
             )
+    grad = padded.transpose(0, 3, 1, 2)
     if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        return grad[:, :, padding:-padding, padding:-padding]
+    return grad
 
 
 def conv2d(
@@ -70,21 +88,26 @@ def conv2d(
         raise ValueError(f"input has {x.shape[1]} channels, weight expects {c}")
     cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride, padding)
     w_mat = weight.data.reshape(f, -1)
-    out_data = np.einsum("fk,nkp->nfp", w_mat, cols).reshape(n, f, out_h, out_w)
+    out_mat = w_mat @ cols
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
+        out_mat += bias.data[:, None]
+    # (F, N*P) -> (N, F, H', W') as a view; the batch-major copy is left to
+    # whichever consumer needs one.
+    out_data = out_mat.reshape(f, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(n, f, out_h * out_w)
+        grad_mat = grad.transpose(1, 0, 2, 3).reshape(f, n * out_h * out_w)
+        # Both gradient GEMMs are written as the transpose of a product
+        # whose long axis (N*P) is the row axis: OpenBLAS runs these
+        # skinny shapes 2-3x faster that way round.
         if weight.requires_grad:
-            grad_w = np.einsum("nfp,nkp->fk", grad_mat, cols).reshape(weight.shape)
-            weight._accumulate(grad_w)
+            weight._accumulate((cols @ grad_mat.T).T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=(0, 2)))
+            bias._accumulate(grad_mat.sum(axis=1))
         if x.requires_grad:
-            grad_cols = np.einsum("fk,nfp->nkp", w_mat, grad_mat)
+            grad_cols = (grad_mat.T @ w_mat).T
             x._accumulate(
                 _col2im(grad_cols, x.shape, (kh, kw), stride, padding, (out_h, out_w))
             )
@@ -93,7 +116,12 @@ def conv2d(
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling with square window; requires H, W divisible by the window."""
+    """Max pooling with square window; requires H, W divisible by the window.
+
+    The forward pass is an elementwise maximum over the ``kernel**2`` taps
+    of each window.  The backward pass routes each window's gradient to the
+    first tap (row-major) equal to the maximum, the tie rule of ``argmax``.
+    """
     stride = stride or kernel
     if stride != kernel:
         raise NotImplementedError("only stride == kernel pooling is supported")
@@ -102,18 +130,28 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         raise ValueError(f"spatial dims ({h}, {w}) not divisible by pool size {kernel}")
     out_h, out_w = h // kernel, w // kernel
     windows = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-    windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, out_h, out_w, kernel * kernel)
-    arg = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    taps = [windows[:, :, :, i, :, j] for i in range(kernel) for j in range(kernel)]
+    # The output and both gradients keep the input's memory layout.
+    out_data = taps[0].copy(order="K")
+    for tap in taps[1:]:
+        np.maximum(out_data, tap, out=out_data)
 
     def backward(grad: np.ndarray) -> None:
-        grad_windows = np.zeros_like(windows)
-        np.put_along_axis(grad_windows, arg[..., None], grad[..., None], axis=-1)
-        grad_x = (
-            grad_windows.reshape(n, c, out_h, out_w, kernel, kernel)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        if grad.strides != out_data.strides:
+            # Elementwise passes over mismatched layouts (a batch-major
+            # gradient against channel-major taps) run several times slower.
+            aligned = np.empty_like(out_data, dtype=grad.dtype)
+            aligned[...] = grad
+            grad = aligned
+        grad_x = np.empty_like(x.data, dtype=grad.dtype)
+        grad_windows = grad_x.reshape(n, c, out_h, kernel, out_w, kernel)
+        unclaimed = np.ones_like(out_data, dtype=bool)
+        for index, tap in enumerate(taps):
+            hit = np.equal(tap, out_data)
+            hit &= unclaimed
+            unclaimed ^= hit
+            i, j = divmod(index, kernel)
+            np.multiply(grad, hit, out=grad_windows[:, :, :, i, :, j])
         x._accumulate(grad_x)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)

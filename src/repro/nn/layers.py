@@ -1,26 +1,29 @@
 """Module system and the standard feed-forward layers.
 
-A :class:`Module` owns named :class:`~repro.nn.tensor.Tensor` parameters
+A :class:`Module` owns named :class:`~repro.nn.tensor.Parameter` leaves
 and child modules; ``parameters()`` / ``state_dict()`` traverse the tree,
 ``train()`` / ``eval()`` toggle stochastic layers (dropout).
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterator
 
 import numpy as np
 
 from . import functional as F
 from .init import kaiming_uniform
-from .tensor import Tensor
+from .tensor import Parameter, Tensor, no_grad
 
 
 class Module:
     """Base class for layers and models.
 
-    Subclasses assign :class:`Tensor` parameters and child ``Module``
-    instances as attributes; both are discovered automatically.
+    Subclasses assign :class:`Parameter` leaves and child ``Module``
+    instances as attributes; both are discovered automatically, in
+    assignment order.  A parameter is found by its type, so a frozen one
+    (``requires_grad = False``) is still listed, saved and cast.
     """
 
     def __init__(self) -> None:
@@ -31,7 +34,7 @@ class Module:
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Parameter):
                 yield f"{prefix}{name}", value
             elif isinstance(value, Module):
                 yield from value.named_parameters(prefix=f"{prefix}{name}.")
@@ -68,6 +71,18 @@ class Module:
         for module in self.modules():
             module.training = False
         return self
+
+    @contextlib.contextmanager
+    def inference(self) -> Iterator["Module"]:
+        """Eval mode without the tape; the previous mode returns on exit."""
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                yield self
+        finally:
+            if was_training:
+                self.train()
 
     def zero_grad(self) -> None:
         for param in self.parameters():
@@ -122,12 +137,10 @@ class Linear(Module):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(
-            kaiming_uniform((out_features, in_features), in_features, rng), requires_grad=True
+        self.weight = Parameter(
+            kaiming_uniform((out_features, in_features), in_features, rng)
         )
-        self.bias = (
-            Tensor(np.zeros(out_features), requires_grad=True) if bias else None
-        )
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
@@ -150,13 +163,12 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Tensor(
+        self.weight = Parameter(
             kaiming_uniform(
                 (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng
-            ),
-            requires_grad=True,
+            )
         )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
+        self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Module
-from .tensor import Tensor
+from .tensor import Parameter, Tensor
 
 
 class LayerNorm(Module):
@@ -26,8 +26,8 @@ class LayerNorm(Module):
         if normalized_dim < 1:
             raise ValueError("normalized_dim must be >= 1")
         self.eps = eps
-        self.gamma = Tensor(np.ones(normalized_dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(normalized_dim), requires_grad=True)
+        self.gamma = Parameter(np.ones(normalized_dim))
+        self.beta = Parameter(np.zeros(normalized_dim))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.gamma.shape[0]:
@@ -57,8 +57,8 @@ class BatchNorm1d(Module):
             raise ValueError("momentum must be in (0, 1)")
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
+        self.gamma = Parameter(np.ones(num_features))
+        self.beta = Parameter(np.zeros(num_features))
         # Running statistics are buffers, not parameters.
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)

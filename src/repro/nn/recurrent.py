@@ -11,7 +11,7 @@ import numpy as np
 
 from .init import orthogonal, xavier_uniform
 from .layers import Module
-from .tensor import Tensor, concat, stack
+from .tensor import Parameter, Tensor, stack
 
 
 class LSTMCell(Module):
@@ -26,17 +26,15 @@ class LSTMCell(Module):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.weight_ih = Tensor(
-            xavier_uniform((4 * hidden_size, input_size), input_size, hidden_size, rng),
-            requires_grad=True,
+        self.weight_ih = Parameter(
+            xavier_uniform((4 * hidden_size, input_size), input_size, hidden_size, rng)
         )
-        self.weight_hh = Tensor(
-            np.vstack([orthogonal((hidden_size, hidden_size), rng) for _ in range(4)]),
-            requires_grad=True,
+        self.weight_hh = Parameter(
+            np.vstack([orthogonal((hidden_size, hidden_size), rng) for _ in range(4)])
         )
         bias = np.zeros(4 * hidden_size)
         bias[hidden_size : 2 * hidden_size] = 1.0  # forget gate
-        self.bias = Tensor(bias, requires_grad=True)
+        self.bias = Parameter(bias)
 
     def forward(
         self, x: Tensor, state: "tuple[Tensor, Tensor]"
@@ -71,15 +69,13 @@ class GRUCell(Module):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.weight_ih = Tensor(
-            xavier_uniform((3 * hidden_size, input_size), input_size, hidden_size, rng),
-            requires_grad=True,
+        self.weight_ih = Parameter(
+            xavier_uniform((3 * hidden_size, input_size), input_size, hidden_size, rng)
         )
-        self.weight_hh = Tensor(
-            np.vstack([orthogonal((hidden_size, hidden_size), rng) for _ in range(3)]),
-            requires_grad=True,
+        self.weight_hh = Parameter(
+            np.vstack([orthogonal((hidden_size, hidden_size), rng) for _ in range(3)])
         )
-        self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True)
+        self.bias = Parameter(np.zeros(3 * hidden_size))
 
     def forward(self, x: Tensor, hidden: Tensor) -> Tensor:
         hs = self.hidden_size

@@ -7,16 +7,50 @@ aware gradients for the arithmetic, matmul, reduction, shaping and
 activation ops the HAR model uses.
 
 Only float gradients are supported; integer tensors (labels) never require
-gradients.
+gradients.  Inside :func:`no_grad` ops record no tape at all: results have
+no parents and no backward closure, so inference frees every intermediate
+(im2col columns included) as soon as the op returns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import contextlib
+import threading
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 ArrayLike = "np.ndarray | float | int | Sequence"
+
+
+class _GradMode(threading.local):
+    """Per-thread tape switch; the class attribute is every thread's default."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops in this thread currently record the backward tape."""
+    return _grad_mode.enabled
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording the tape (inference).
+
+    Leaves every tensor's ``requires_grad`` alone: the flag is read when an
+    op builds its result, which then has no parents.  Nests, and restores
+    the previous mode on exit, exceptions included.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -59,9 +93,10 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        tracked = _grad_mode.enabled and any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad or tracked
+        self._parents = _parents if tracked else ()
+        self._backward = _backward if tracked else None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -145,12 +180,17 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(value: "Tensor | ArrayLike") -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def _coerce(self, value: "Tensor | ArrayLike") -> "Tensor":
+        """Wrap an operand; a Python scalar takes this tensor's float dtype,
+        as NumPy's own weak scalars do, so float32 graphs stay float32."""
+        if isinstance(value, Tensor):
+            return value
+        if isinstance(value, (int, float)) and np.issubdtype(self.data.dtype, np.floating):
+            return Tensor(np.asarray(value, dtype=self.data.dtype))
+        return Tensor(value)
 
     def __add__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -170,13 +210,13 @@ class Tensor:
         return Tensor(-self.data, _parents=(self,), _backward=backward)
 
     def __sub__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        return self + (-Tensor._coerce(other))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        return Tensor._coerce(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -190,7 +230,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -204,7 +244,7 @@ class Tensor:
         return Tensor(out_data, _parents=(self, other), _backward=backward)
 
     def __rtruediv__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        return Tensor._coerce(other) / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -217,7 +257,7 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
     def __matmul__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -351,11 +391,10 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        out_data = np.where(mask, self.data, 0.0)
+        out_data = np.maximum(self.data, 0)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * (out_data > 0))
 
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
@@ -370,6 +409,20 @@ class Tensor:
             self._accumulate(grad * sign)
 
         return Tensor(out_data, _parents=(self,), _backward=backward)
+
+
+class Parameter(Tensor):
+    """A trainable leaf owned by a :class:`~repro.nn.layers.Module`.
+
+    Modules find their parameters by this type, not by ``requires_grad``,
+    so freezing a parameter (``requires_grad = False``) keeps it in
+    ``parameters()``, ``state_dict()`` and the model's dtype.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, data: ArrayLike):
+        super().__init__(data, requires_grad=True)
 
 
 # ----------------------------------------------------------------------

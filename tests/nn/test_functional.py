@@ -65,6 +65,42 @@ def test_conv2d_gradients():
         assert np.abs(numeric - leaf.grad).max() < 1e-6
 
 
+def test_conv2d_gradients_stride2_no_padding():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 7, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 3, 3)) * 0.2, requires_grad=True)
+    b = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
+    target = rng.normal(size=(2, 2, 3, 3))
+
+    def loss_value():
+        out = conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data), stride=2)
+        return float(((out.data - target) ** 2).mean())
+
+    out = conv2d(x, w, b, stride=2)
+    assert out.shape == (2, 2, 3, 3)
+    mse_loss(out, target).backward()
+    for leaf in (x, w, b):
+        numeric = numerical_gradient(loss_value, leaf.data)
+        assert np.abs(numeric - leaf.grad).max() < 1e-6
+
+
+def test_max_pool_gradients_kernel4():
+    rng = np.random.default_rng(6)
+    # Distinct values, so a 1e-6 nudge never changes a window's maximum.
+    data = rng.permutation(2 * 2 * 8 * 4).reshape(2, 2, 8, 4) * 0.01
+    x = Tensor(data, requires_grad=True)
+    target = rng.normal(size=(2, 2, 2, 1))
+
+    def loss_value():
+        out = max_pool2d(Tensor(x.data), 4)
+        return float(((out.data - target) ** 2).mean())
+
+    mse_loss(max_pool2d(x, 4), target).backward()
+    numeric = numerical_gradient(loss_value, x.data)
+    assert np.abs(numeric - x.grad).max() < 1e-6
+    assert np.count_nonzero(x.grad) == 2 * 2 * 2 * 1
+
+
 def test_max_pool_forward():
     x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
     out = max_pool2d(Tensor(x), 2)
