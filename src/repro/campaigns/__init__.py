@@ -1,9 +1,11 @@
 """Declarative experiment campaigns: YAML grids over the paper's runners.
 
-A campaign config declares *what* to sweep — experiments, presets, seeds,
-preset overrides — and the runner turns it into deterministic per-cell
-tasks executed over :mod:`repro.runtime.pool`, checkpointed in the fsynced
-sweep journal (crash-safe ``--resume``), and aggregated into one atomic
+A campaign config (YAML, loaded with PyYAML) declares *what* to sweep —
+experiments, presets, seeds, preset overrides — and the runner turns it
+into deterministic per-cell tasks for the sweep engine
+(:mod:`repro.runtime.sweep`, shared with ``repro run all``): executed
+over the worker pool, checkpointed in the fsynced sweep journal
+(crash-safe ``--resume``), and aggregated into one atomic
 schema-versioned campaign record the dashboard and ``repro stats`` can
 read.  See the README's Campaigns section and ``examples/campaigns/``.
 """

@@ -8,7 +8,6 @@ dispatcher), keeping ``repro.cli`` a thin table of verbs.
 from __future__ import annotations
 
 import dataclasses
-import signal
 from pathlib import Path
 
 from ..runtime.errors import CampaignConfigError, JournalError
@@ -134,7 +133,6 @@ def _run(args, log) -> int:
     tel.reset()
     tel.enable()
     metrics().reset()
-    previous = _install_signal_handlers(log)
     try:
         outcome = runner.run(resume=args.resume)
     except JournalError as exc:
@@ -147,7 +145,6 @@ def _run(args, log) -> int:
         )
         return 2
     finally:
-        _restore_signal_handlers(previous)
         tel.disable()
 
     print(format_campaign_record(outcome.record))
@@ -189,24 +186,3 @@ def _show(args, log) -> int:
         return 1
     print(format_campaign_record(record))
     return 0
-
-
-def _install_signal_handlers(log) -> dict:
-    """SIGINT/SIGTERM -> KeyboardInterrupt so campaigns unwind gracefully."""
-
-    def _handler(signum: int, frame) -> None:
-        log.warning("signal %d received; flushing journal and stopping", signum)
-        raise KeyboardInterrupt
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _handler)
-        except ValueError:  # pragma: no cover - non-main thread
-            pass
-    return previous
-
-
-def _restore_signal_handlers(previous: dict) -> None:
-    for signum, handler in previous.items():
-        signal.signal(signum, handler)

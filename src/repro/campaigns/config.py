@@ -36,10 +36,11 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from ..eval.presets import ExperimentPreset, preset_by_name
+from ..eval.registry import EXPERIMENT_TABLE
 from ..runtime.errors import CampaignConfigError
-from .yamlish import YamlSubsetError, load_config_text
 
 #: Bump when the config layout changes; other versions are refused.
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -66,9 +67,7 @@ _PRESET_NAMES = ("fast", "default", "paper")
 
 def known_experiments() -> "tuple[str, ...]":
     """Experiment ids a campaign cell may name (the paper's runners)."""
-    from .runner import CELL_RUNNERS
-
-    return tuple(CELL_RUNNERS)
+    return tuple(EXPERIMENT_TABLE)
 
 
 @dataclass(frozen=True)
@@ -191,9 +190,35 @@ def derive_cell_seed(campaign_seed: int, cell_index: int) -> int:
 # ----------------------------------------------------------------------
 # Parsing + validation
 # ----------------------------------------------------------------------
-def load_campaign(
-    path: "str | Path", force_subset: bool = False
-) -> CampaignConfig:
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping key given twice.
+
+    Plain ``safe_load`` keeps the last value silently, so a config with
+    ``preset: fast`` and later ``preset: default`` would run as
+    ``default`` without a word.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        first_line: "dict[object, int]" = {}
+        for key_node, _ in node.value:
+            # ``<<`` merge keys are not keys of this mapping; the base
+            # class expands them (explicit keys override merged ones).
+            if not isinstance(key_node, yaml.ScalarNode) \
+                    or key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            if key in first_line:
+                raise yaml.constructor.ConstructorError(
+                    None, None,
+                    f"duplicate key {key!r} (first given on line "
+                    f"{first_line[key]})",
+                    key_node.start_mark,
+                )
+            first_line[key] = key_node.start_mark.line + 1
+        return super().construct_mapping(node, deep=deep)
+
+
+def load_campaign(path: "str | Path") -> CampaignConfig:
     """Read and validate a campaign config file."""
     path = Path(path)
     try:
@@ -201,11 +226,16 @@ def load_campaign(
     except OSError as exc:
         raise CampaignConfigError(str(path), [f"unreadable: {exc}"])
     try:
-        data = load_config_text(text, force_subset=force_subset)
-    except YamlSubsetError as exc:
-        raise CampaignConfigError(str(path), [str(exc)])
-    except ValueError as exc:  # PyYAML parse errors
-        raise CampaignConfigError(str(path), [f"YAML parse error: {exc}"])
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = (
+            f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        )
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise CampaignConfigError(
+            str(path), [f"YAML parse error: {where}{problem}"]
+        )
     return parse_campaign(data, source=str(path))
 
 

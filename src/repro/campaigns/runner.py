@@ -1,12 +1,14 @@
 """Campaign execution: grid cells -> pool tasks -> journal -> record.
 
 ``CampaignRunner`` expands a validated config into
-:class:`~repro.campaigns.config.CampaignCell` tasks, runs them over the
-supervised worker pool (``workers=1`` degrades to the serial in-process
-path), checkpoints every terminal outcome in the fsynced sweep journal —
+:class:`~repro.campaigns.config.CampaignCell` tasks and hands them to the
+sweep engine (:func:`~repro.runtime.sweep.run_sweep`, the same loop
+``repro run all`` uses): the supervised worker pool (``workers=1`` is the
+serial in-process path), a fsynced journal entry per terminal outcome —
 so a SIGKILL mid-campaign loses at most the in-flight cells and
-``--resume`` skips finished ones — and aggregates everything into one
-atomic campaign record.
+``--resume`` skips finished ones — and the ``stop.max_failures``
+criterion.  The runner turns the outcomes into :class:`CellResult` rows
+and one atomic campaign record.
 
 Cells return *metrics*, not formatted text: :func:`cell_payload` maps
 each runner's result dataclass to a JSON-able dict split into
@@ -26,7 +28,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..datasets.activities import DISSIMILAR_SCENARIOS, SIMILAR_SCENARIOS
 from ..eval.experiments import (
     AblationResult,
     CleanPrototypeResult,
@@ -38,24 +39,12 @@ from ..eval.experiments import (
     StealthResult,
     SweepResult,
     ThroughputResult,
-    run_ablation,
-    run_angle_robustness,
-    run_clean_prototype,
-    run_defenses,
-    run_distance_robustness,
-    run_frame_importance,
-    run_heatmap_stealth,
-    run_injection_rate_sweep,
-    run_poisoned_frames_sweep,
-    run_simulator_throughput,
-    run_spectral_defense,
-    run_trigger_size_frames_sweep,
-    run_trigger_size_injection_sweep,
 )
-from ..runtime.journal import SweepJournal
+from ..eval.registry import EXPERIMENT_TABLE
 from ..runtime.logging import get_logger
-from ..runtime.pool import PoolConfig, PoolTask, TaskResult, run_tasks
+from ..runtime.pool import PoolConfig, PoolTask, TaskResult
 from ..runtime.records import default_runs_dir
+from ..runtime.sweep import SweepOutcome, run_sweep
 from ..runtime.telemetry import metrics, span, telemetry
 from .config import (
     CampaignCell,
@@ -71,21 +60,7 @@ _log = get_logger("campaigns.runner")
 #: experiment id -> raw runner (result dataclass, not formatted text).
 #: Same ids as the CLI's EXPERIMENTS table; campaigns consume metrics.
 CELL_RUNNERS: "dict[str, Callable[[ExperimentContext], Any]]" = {
-    "fig3": run_frame_importance,
-    "fig5": run_heatmap_stealth,
-    "fig7": run_clean_prototype,
-    "fig8": lambda ctx: run_injection_rate_sweep(ctx, SIMILAR_SCENARIOS),
-    "fig9": lambda ctx: run_poisoned_frames_sweep(ctx, SIMILAR_SCENARIOS),
-    "fig10": lambda ctx: run_injection_rate_sweep(ctx, DISSIMILAR_SCENARIOS),
-    "fig11": lambda ctx: run_poisoned_frames_sweep(ctx, DISSIMILAR_SCENARIOS),
-    "fig12": run_trigger_size_injection_sweep,
-    "fig13": run_trigger_size_frames_sweep,
-    "fig14": run_angle_robustness,
-    "fig15": run_distance_robustness,
-    "table1": run_ablation,
-    "sec6d": run_simulator_throughput,
-    "sec7": run_defenses,
-    "spectral": run_spectral_defense,
+    key: run for key, (_, run, _) in EXPERIMENT_TABLE.items()
 }
 
 
@@ -263,10 +238,7 @@ class CampaignOutcome:
 
     @property
     def counts(self) -> "dict[str, int]":
-        counts = {"done": 0, "failed": 0, "skipped": 0}
-        for result in self.results:
-            counts[result.status] = counts.get(result.status, 0) + 1
-        return counts
+        return {"done": 0, "failed": 0, "skipped": 0, **_count(self.results)}
 
     @property
     def all_ok(self) -> bool:
@@ -300,21 +272,63 @@ class CampaignRunner:
 
     def run(self, resume: bool = False) -> CampaignOutcome:
         cells = expand_cells(self.config)
-        digest = config_digest(self.config)
-        journal = SweepJournal.open(
-            self.journal_path, journal_fingerprint(self.config), resume=resume
-        )
+        by_key = {cell.key: cell for cell in cells}
+        tasks = [
+            PoolTask(
+                key=cell.key,
+                fn=_campaign_cell_task,
+                args=(
+                    cell.experiment, cell.preset, cell.seed,
+                    cell.overrides, self.config.use_disk_cache,
+                ),
+            )
+            for cell in cells
+        ]
+
+        def journal_payload(result: TaskResult) -> dict:
+            value = (result.value if result.ok else None) or {}
+            return {
+                "cell": by_key[result.key].spec(),
+                "metrics": dict(value.get("metrics", {})),
+                "measured": dict(value.get("measured", {})),
+                "error": result.error,
+            }
+
         started = time.time()
         with span("campaign.run", campaign=self.config.name, cells=len(cells)):
-            with journal:
-                results, interrupted, stopped = self._execute(cells, journal)
+            sweep = run_sweep(
+                tasks,
+                self.journal_path,
+                journal_fingerprint(self.config),
+                self.pool_config or PoolConfig(workers=self.workers),
+                resume=resume,
+                payload=journal_payload,
+                max_failures=self.config.stop.max_failures,
+            )
+        resumed = sum(outcome.resumed for outcome in sweep.outcomes)
+        if resumed:
+            metrics().counter("campaign.cells_resumed").inc(resumed)
+            _log.info(
+                "campaign %s: %d/%d cells resumed from journal",
+                self.config.name, resumed, len(cells),
+            )
+        skip_reason = (
+            "interrupted" if sweep.interrupted else "stop.max_failures reached"
+        )
+        results = [
+            _cell_result(by_key[outcome.key], outcome)
+            for outcome in sweep.outcomes
+        ] + [
+            _cell_result(by_key[key], skipped=skip_reason)
+            for key in sweep.undispatched
+        ]
         results.sort(key=lambda result: result.index)
 
-        outcome_status = self._status(results, interrupted, stopped)
+        outcome_status = _status(results, sweep.interrupted, sweep.stopped)
         record = CampaignRecord(
             name=self.config.name,
             config=self.config.canonical_dict(),
-            config_digest=digest,
+            config_digest=config_digest(self.config),
             cells=[result.as_dict() for result in results],
             outcome={
                 "status": outcome_status,
@@ -334,164 +348,44 @@ class CampaignRunner:
             record_path=path,
             results=results,
             journal_path=self.journal_path,
-            interrupted=interrupted,
-            stopped_early=stopped,
+            interrupted=sweep.interrupted,
+            stopped_early=sweep.stopped,
         )
 
-    # ------------------------------------------------------------------
-    def _execute(
-        self, cells: "list[CampaignCell]", journal: SweepJournal
-    ) -> "tuple[list[CellResult], bool, bool]":
-        completed = journal.completed_keys()
-        results: "list[CellResult]" = []
-        pending: "list[CampaignCell]" = []
-        for cell in cells:
-            entry = journal.entry(cell.key)
-            if cell.key in completed and entry is not None:
-                payload = entry.get("payload") or {}
-                results.append(self._from_journal(cell, entry, payload))
-                metrics().counter("campaign.cells_resumed").inc()
-            else:
-                pending.append(cell)
-        if results:
-            _log.info(
-                "campaign %s: %d/%d cells resumed from journal",
-                self.config.name, len(results), len(cells),
-            )
 
-        max_failures = self.config.stop.max_failures
-        failures = sum(1 for r in results if r.status == "failed")
-        interrupted = False
-        stopped = False
-        index = 0
-        # Dispatch in pool-sized waves so stop criteria apply between
-        # waves without needing mid-flight cancellation support.
-        wave = max(1, self.workers) * 2
-        try:
-            while index < len(pending):
-                if max_failures is not None and failures >= max_failures:
-                    stopped = True
-                    break
-                batch = pending[index:index + wave]
-                index += len(batch)
-                for task_result in self._run_batch(batch):
-                    cell = next(
-                        c for c in batch if c.key == task_result.key
-                    )
-                    result = self._from_task(cell, task_result)
-                    journal.record(
-                        result.key,
-                        "done" if result.status == "done" else "failed",
-                        payload={
-                            "cell": cell.spec(),
-                            "metrics": result.metrics,
-                            "measured": result.measured,
-                            "error": result.error,
-                        },
-                        attempts=result.attempts,
-                        wall_time_s=result.wall_time_s,
-                    )
-                    results.append(result)
-                    if result.status == "failed":
-                        failures += 1
-        except KeyboardInterrupt:
-            interrupted = True
-            _log.warning(
-                "campaign %s interrupted; journal %s holds %d finished cells",
-                self.config.name, self.journal_path,
-                len(journal.completed_keys()),
-            )
-        done_keys = {result.key for result in results}
-        for cell in cells:
-            if cell.key not in done_keys:
-                results.append(self._skipped(cell, interrupted, stopped))
-        return results, interrupted, stopped
+def _cell_result(
+    cell: CampaignCell,
+    outcome: "SweepOutcome | None" = None,
+    skipped: str = "",
+) -> CellResult:
+    """A cell's :class:`CellResult` from its sweep outcome, or as skipped."""
+    identity = dict(
+        key=cell.key, index=cell.index, experiment=cell.experiment,
+        preset=cell.preset, seed=cell.seed, overrides=dict(cell.overrides),
+    )
+    if outcome is None:
+        return CellResult(**identity, status="skipped", error=skipped)
+    return CellResult(
+        **identity,
+        status="done" if outcome.ok else "failed",
+        metrics=dict(outcome.payload.get("metrics", {})),
+        measured=dict(outcome.payload.get("measured", {})),
+        wall_time_s=outcome.wall_time_s,
+        attempts=outcome.attempts,
+        error=None if outcome.resumed else outcome.error,
+        resumed=outcome.resumed,
+    )
 
-    def _run_batch(self, batch: "list[CampaignCell]") -> "list[TaskResult]":
-        tasks = [
-            PoolTask(
-                key=cell.key,
-                fn=_campaign_cell_task,
-                args=(
-                    cell.experiment, cell.preset, cell.seed,
-                    cell.overrides, self.config.use_disk_cache,
-                ),
-            )
-            for cell in batch
-        ]
-        config = self.pool_config or PoolConfig(workers=self.workers)
-        return run_tasks(tasks, config)
 
-    # ------------------------------------------------------------------
-    def _from_task(
-        self, cell: CampaignCell, task_result: TaskResult
-    ) -> CellResult:
-        payload = task_result.value if task_result.ok else {}
-        payload = payload or {}
-        return CellResult(
-            key=cell.key,
-            index=cell.index,
-            experiment=cell.experiment,
-            preset=cell.preset,
-            seed=cell.seed,
-            status="done" if task_result.ok else "failed",
-            metrics=dict(payload.get("metrics", {})),
-            measured=dict(payload.get("measured", {})),
-            overrides=dict(cell.overrides),
-            wall_time_s=task_result.wall_time_s,
-            attempts=task_result.attempts,
-            error=task_result.error,
-        )
-
-    def _from_journal(
-        self, cell: CampaignCell, entry: dict, payload: dict
-    ) -> CellResult:
-        return CellResult(
-            key=cell.key,
-            index=cell.index,
-            experiment=cell.experiment,
-            preset=cell.preset,
-            seed=cell.seed,
-            status="done",
-            metrics=dict(payload.get("metrics", {})),
-            measured=dict(payload.get("measured", {})),
-            overrides=dict(cell.overrides),
-            wall_time_s=entry.get("wall_time_s", 0.0),
-            attempts=entry.get("attempts", 0),
-            resumed=True,
-        )
-
-    def _skipped(
-        self, cell: CampaignCell, interrupted: bool, stopped: bool
-    ) -> CellResult:
-        reason = (
-            "interrupted" if interrupted
-            else "stop.max_failures reached" if stopped
-            else "not dispatched"
-        )
-        return CellResult(
-            key=cell.key,
-            index=cell.index,
-            experiment=cell.experiment,
-            preset=cell.preset,
-            seed=cell.seed,
-            status="skipped",
-            overrides=dict(cell.overrides),
-            error=reason,
-        )
-
-    @staticmethod
-    def _status(
-        results: "list[CellResult]", interrupted: bool, stopped: bool
-    ) -> str:
-        if interrupted:
-            return "interrupted"
-        if stopped:
-            return "stopped"
-        counts = _count(results)
-        if counts.get("failed") or counts.get("skipped"):
-            return "failed"
-        return "ok"
+def _status(results: "list[CellResult]", interrupted: bool, stopped: bool) -> str:
+    if interrupted:
+        return "interrupted"
+    if stopped:
+        return "stopped"
+    counts = _count(results)
+    if counts.get("failed") or counts.get("skipped"):
+        return "failed"
+    return "ok"
 
 
 def _count(results: "list[CellResult]") -> "dict[str, int]":

@@ -28,9 +28,11 @@ Campaigns section).
 Each experiment prints the same rows/series the corresponding paper figure
 shows (see EXPERIMENTS.md for the paper-vs-measured comparison).
 
-``run all`` executes every experiment under an isolation boundary: one
-failure is recorded in the failure report (outcome, wall time, traceback)
-and the sweep continues; the exit code turns non-zero only after the full
+``run all`` runs every experiment through the sweep engine
+(:mod:`repro.runtime.sweep`, shared with ``campaign run``) under an
+isolation boundary: one failure is retried under the pool's retry policy,
+then recorded in the failure report (outcome, wall time, traceback) and
+the sweep continues; the exit code turns non-zero only after the full
 sweep.  ``--verbose``/``--quiet`` control the pipeline's structured logs.
 
 ``--workers N`` fans work out across a supervised process pool: whole
@@ -51,14 +53,12 @@ and ``--metrics`` a JSONL snapshot of every counter/gauge/histogram.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 import traceback
 from pathlib import Path
 from typing import Callable
 
 from .runtime.errors import JournalError
-from .runtime.journal import SweepJournal
 from .runtime.logging import configure_logging, get_logger
 from .runtime.pool import PoolConfig
 from .runtime.records import (
@@ -72,7 +72,7 @@ from .runtime.records import (
     summarize_run_record,
     write_run_record,
 )
-from .runtime.runner import FailureReport, run_experiments, run_experiments_parallel
+from .runtime.runner import ExperimentOutcome, FailureReport, sweep_experiments
 from .runtime.telemetry import metrics, telemetry
 
 from .bench import (
@@ -86,104 +86,12 @@ from .campaigns.cli import add_campaign_arguments, run_campaign_command
 from .dashboard.cli import add_dashboard_arguments, run_dashboard
 from .serve.cli import add_serve_arguments, run_infer, run_publish, run_serve
 
-from .datasets.activities import DISSIMILAR_SCENARIOS, SIMILAR_SCENARIOS
-from .eval import (
-    ExperimentContext,
-    format_ablation,
-    format_confusion_matrix,
-    format_defense,
-    format_full_sweep,
-    format_histogram,
-    format_robustness,
-    format_spectral_defense,
-    format_stealth,
-    format_throughput,
-    preset_by_name,
-    run_ablation,
-    run_angle_robustness,
-    run_clean_prototype,
-    run_defenses,
-    run_distance_robustness,
-    run_frame_importance,
-    run_heatmap_stealth,
-    run_injection_rate_sweep,
-    run_poisoned_frames_sweep,
-    run_simulator_throughput,
-    run_spectral_defense,
-    run_trigger_size_frames_sweep,
-    run_trigger_size_injection_sweep,
-)
+from .eval import EXPERIMENT_TABLE, ExperimentContext, preset_by_name
 
 #: experiment id -> (description, runner(ctx) -> printable string)
 EXPERIMENTS: "dict[str, tuple[str, Callable[[ExperimentContext], str]]]" = {
-    "fig3": (
-        "Most-important-frame index histogram (SHAP)",
-        lambda ctx: format_histogram(run_frame_importance(ctx)),
-    ),
-    "fig5": (
-        "DRAI heatmaps with vs without a trigger (stealth)",
-        lambda ctx: format_stealth(run_heatmap_stealth(ctx)),
-    ),
-    "fig7": (
-        "Clean prototype confusion matrix",
-        lambda ctx: format_confusion_matrix(run_clean_prototype(ctx)),
-    ),
-    "fig8": (
-        "ASR/UASR/CDR vs injection rate (similar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_injection_rate_sweep(ctx, SIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig9": (
-        "ASR/UASR/CDR vs #poisoned frames (similar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_poisoned_frames_sweep(ctx, SIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig10": (
-        "ASR/UASR/CDR vs injection rate (dissimilar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_injection_rate_sweep(ctx, DISSIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig11": (
-        "ASR/UASR/CDR vs #poisoned frames (dissimilar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_poisoned_frames_sweep(ctx, DISSIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig12": (
-        "Trigger size comparison over injection rates",
-        lambda ctx: format_full_sweep(run_trigger_size_injection_sweep(ctx)),
-    ),
-    "fig13": (
-        "Trigger size comparison over #poisoned frames",
-        lambda ctx: format_full_sweep(run_trigger_size_frames_sweep(ctx)),
-    ),
-    "fig14": (
-        "ASR vs attacker angle (seen + zero-shot)",
-        lambda ctx: format_robustness(run_angle_robustness(ctx)),
-    ),
-    "fig15": (
-        "ASR vs attacker distance (seen + zero-shot)",
-        lambda ctx: format_robustness(run_distance_robustness(ctx)),
-    ),
-    "table1": (
-        "Module ablation + under-clothing triggers",
-        lambda ctx: format_ablation(run_ablation(ctx)),
-    ),
-    "sec6d": (
-        "RF simulator throughput",
-        lambda ctx: format_throughput(run_simulator_throughput(ctx)),
-    ),
-    "sec7": (
-        "Defenses: trigger detection + augmentation",
-        lambda ctx: format_defense(run_defenses(ctx)),
-    ),
-    "spectral": (
-        "Extension: spectral-signature poison filtering",
-        lambda ctx: format_spectral_defense(run_spectral_defense(ctx)),
-    ),
+    key: (description, lambda ctx, run=run, fmt=fmt: fmt(run(ctx)))
+    for key, (description, run, fmt) in EXPERIMENT_TABLE.items()
 }
 
 
@@ -302,9 +210,9 @@ def _finalize_run(
     log.info("run record written to %s", path)
 
 
-def _report_outcome(report: FailureReport, interrupted: bool = False) -> dict:
+def _report_outcome(report: FailureReport) -> dict:
     """Run-record outcome payload for a (possibly single-entry) sweep."""
-    if interrupted:
+    if report.interrupted:
         status = "interrupted"
     else:
         status = "ok" if report.all_ok else "failed"
@@ -341,31 +249,101 @@ def _experiment_task(
     return runner(context)
 
 
-def _install_sweep_signal_handlers(log) -> "dict":
-    """SIGINT/SIGTERM -> KeyboardInterrupt, so sweeps unwind gracefully.
+def _run_one(args: argparse.Namespace, preset, log) -> int:
+    """``run <exp>``: fail-fast, in-process, no journal."""
+    for flag, value in (
+        ("--report", args.report),
+        ("--journal", args.journal),
+        ("--resume", args.resume),
+    ):
+        if value:
+            log.warning("%s only applies to 'run all'; ignoring", flag)
+    name = args.experiment
+    description, runner = EXPERIMENTS[name]
+    description = f"{description} (preset {preset.name})"
+    context = ExperimentContext(
+        preset, seed=args.seed, use_disk_cache=not args.no_cache,
+        workers=args.workers,
+    )
+    print(f"=== {name}: {description} ===")
+    timer = telemetry().span(f"experiment.{name}", force=True)
+    try:
+        with timer:
+            text = runner(context)
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"--- {name} FAILED after {timer.duration_s:.1f}s: {error} ---\n")
+        log.error("experiment %s failed", name)
+        traceback.print_exc()
+        _finalize_run(args, {"status": "failed", "error": error}, log)
+        return 1
+    print(text)
+    print(f"--- {name} done in {timer.duration_s:.1f}s ---\n")
+    report = FailureReport(
+        [ExperimentOutcome(name, description, True, timer.duration_s)]
+    )
+    _finalize_run(args, _report_outcome(report), log)
+    return 0
 
-    The interrupt propagates through the runner (journal already holds
-    every finished experiment) to the CLI, which writes the partial report
-    and run record before exiting 130.  Returns the previous handlers for
-    restoration; no-op outside the main thread.
-    """
 
-    def _handler(signum: int, frame) -> None:
-        log.warning("signal %d received; flushing journal and stopping", signum)
-        raise KeyboardInterrupt
+def _run_all(args: argparse.Namespace, preset, log) -> int:
+    """``run all``: every experiment as one journaled, resumable sweep."""
+    names = list(EXPERIMENTS)
+    runs_dir = Path(args.runs_dir) if args.runs_dir else default_runs_dir()
+    journal_path = (
+        Path(args.journal) if args.journal
+        else runs_dir / "sweep-journal.jsonl"
+    )
+    fingerprint = {
+        "experiment": "all",
+        "preset": args.preset,
+        "seed": args.seed,
+        "use_disk_cache": not args.no_cache,
+        "experiments": names,
+    }
+    descriptions = {
+        name: f"{EXPERIMENTS[name][0]} (preset {preset.name})" for name in names
+    }
+    if args.workers > 1:
+        experiments = [
+            (name, descriptions[name], _experiment_task,
+             (name, args.preset, args.seed, not args.no_cache))
+            for name in names
+        ]
+    else:
+        # One shared in-process context: fig8-fig13 reuse its surrogate,
+        # attack plans and pair pools instead of rebuilding them.
+        context = ExperimentContext(
+            preset, seed=args.seed, use_disk_cache=not args.no_cache
+        )
+        experiments = [
+            (name, descriptions[name], EXPERIMENTS[name][1], (context,))
+            for name in names
+        ]
+    try:
+        report = sweep_experiments(
+            experiments, journal_path, fingerprint,
+            PoolConfig(workers=args.workers), resume=args.resume,
+        )
+    except JournalError as exc:
+        log.error("cannot open sweep journal: %s", exc)
+        return 2
 
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _handler)
-        except ValueError:  # pragma: no cover - non-main thread
-            pass
-    return previous
-
-
-def _restore_signal_handlers(previous: "dict") -> None:
-    for signum, handler in previous.items():
-        signal.signal(signum, handler)
+    print(report.format())
+    if report.interrupted:
+        print(
+            f"sweep interrupted: {len(report.outcomes)}/{len(names)} "
+            f"experiments reached a terminal state; resume with "
+            f"`repro run all --resume --journal {journal_path}`"
+        )
+    if args.report:
+        with open(args.report, "w") as handle:
+            handle.write(report.format() + "\n")
+        log.info("failure report written to %s", args.report)
+    _finalize_run(args, _report_outcome(report), log)
+    if report.interrupted:
+        return 130
+    return 0 if report.all_ok else 1
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -440,134 +418,14 @@ def main(argv: "list[str] | None" = None) -> int:
         log.error("--workers must be >= 1, got %d", args.workers)
         return 2
     preset = preset_by_name(args.preset)
-    sweep = args.experiment == "all"
-    names = list(EXPERIMENTS) if sweep else [args.experiment]
-
     tel = telemetry()
     tel.reset()
     tel.enable()
     metrics().reset()
     try:
-        if not sweep:
-            for flag, value in (
-                ("--report", args.report),
-                ("--journal", args.journal),
-                ("--resume", args.resume),
-            ):
-                if value:
-                    log.warning("%s only applies to 'run all'; ignoring", flag)
-            context = ExperimentContext(
-                preset,
-                seed=args.seed,
-                use_disk_cache=not args.no_cache,
-                workers=args.workers,
-            )
-            description, runner = EXPERIMENTS[args.experiment]
-            jobs = [(
-                args.experiment,
-                f"{description} (preset {preset.name})",
-                lambda: runner(context),
-            )]
-            # A single experiment keeps the traditional fail-fast contract.
-            try:
-                report = run_experiments(jobs, isolate=False)
-            except Exception as exc:  # noqa: BLE001 - CLI boundary
-                log.error("experiment %s failed", args.experiment)
-                traceback.print_exc()
-                _finalize_run(
-                    args,
-                    {
-                        "status": "failed",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                    log,
-                )
-                return 1
-            _finalize_run(args, _report_outcome(report), log)
-            return 0
-
-        # --- sweep: journaled, resumable, optionally parallel -----------
-        runs_dir = Path(args.runs_dir) if args.runs_dir else default_runs_dir()
-        journal_path = (
-            Path(args.journal) if args.journal
-            else runs_dir / "sweep-journal.jsonl"
-        )
-        campaign = {
-            "experiment": "all",
-            "preset": args.preset,
-            "seed": args.seed,
-            "use_disk_cache": not args.no_cache,
-            "experiments": names,
-        }
-        try:
-            journal = SweepJournal.open(
-                journal_path, campaign, resume=args.resume
-            )
-        except JournalError as exc:
-            log.error("cannot open sweep journal: %s", exc)
-            return 2
-
-        report = FailureReport()
-        interrupted = False
-        previous_handlers = _install_sweep_signal_handlers(log)
-        try:
-            with journal:
-                if args.workers > 1:
-                    parallel_jobs = [
-                        (
-                            name,
-                            f"{EXPERIMENTS[name][0]} (preset {preset.name})",
-                            _experiment_task,
-                            (name, args.preset, args.seed, not args.no_cache),
-                        )
-                        for name in names
-                    ]
-                    run_experiments_parallel(
-                        parallel_jobs,
-                        PoolConfig(workers=args.workers),
-                        journal=journal,
-                        report=report,
-                    )
-                else:
-                    context = ExperimentContext(
-                        preset, seed=args.seed, use_disk_cache=not args.no_cache
-                    )
-                    jobs = []
-                    for name in names:
-                        description, runner = EXPERIMENTS[name]
-                        jobs.append((
-                            name,
-                            f"{description} (preset {preset.name})",
-                            lambda runner=runner: runner(context),
-                        ))
-                    run_experiments(
-                        jobs, isolate=True, journal=journal, report=report
-                    )
-        except KeyboardInterrupt:
-            interrupted = True
-            log.warning(
-                "sweep interrupted after %d/%d experiments; "
-                "journal %s holds the finished ones (resume with --resume)",
-                len(report.outcomes), len(names), journal_path,
-            )
-        finally:
-            _restore_signal_handlers(previous_handlers)
-
-        print(report.format())
-        if interrupted:
-            print(
-                f"sweep interrupted: {len(report.outcomes)}/{len(names)} "
-                f"experiments reached a terminal state; resume with "
-                f"`repro run all --resume --journal {journal_path}`"
-            )
-        if args.report:
-            with open(args.report, "w") as handle:
-                handle.write(report.format() + "\n")
-            log.info("failure report written to %s", args.report)
-        _finalize_run(args, _report_outcome(report, interrupted), log)
-        if interrupted:
-            return 130
-        return 0 if report.all_ok else 1
+        if args.experiment == "all":
+            return _run_all(args, preset, log)
+        return _run_one(args, preset, log)
     finally:
         tel.disable()
 

@@ -1,10 +1,11 @@
-"""Cross-cutting runtime services: errors, logging, guards, faults, runner.
+"""Cross-cutting runtime services: errors, logging, guards, faults, sweeps.
 
 This package owns the pipeline's failure-handling contract.  Stage code
 raises :class:`ReproError` subclasses, guards catch NaN/Inf at stage
-boundaries, the isolating runner keeps ``run all`` sweeps alive past
-individual failures, and :mod:`repro.runtime.faults` injects each failure
-mode deterministically so tests can prove recovery works.
+boundaries, the sweep engine (:mod:`repro.runtime.sweep`) keeps ``run
+all`` and campaign sweeps alive past individual failures over one
+journaled dispatch loop, and :mod:`repro.runtime.faults` injects each
+failure mode deterministically so tests can prove recovery works.
 
 It also owns the observability contract: :mod:`repro.runtime.telemetry`
 provides hierarchical span tracing plus a counters/gauges/histograms
@@ -40,7 +41,8 @@ from .records import (
     load_run_record,
     write_run_record,
 )
-from .runner import ExperimentOutcome, FailureReport, run_experiments
+from .runner import ExperimentOutcome, FailureReport, sweep_experiments
+from .sweep import SweepOutcome, SweepReport, run_sweep
 from .telemetry import (
     Counter,
     Gauge,
@@ -72,6 +74,8 @@ __all__ = [
     "RunRecord",
     "SimulationError",
     "Span",
+    "SweepOutcome",
+    "SweepReport",
     "SweepJournal",
     "TaskResult",
     "Telemetry",
@@ -90,9 +94,10 @@ __all__ = [
     "log_event",
     "metrics",
     "retry_call",
-    "run_experiments",
+    "run_sweep",
     "run_tasks",
     "span",
+    "sweep_experiments",
     "telemetry",
     "traced",
     "write_run_record",

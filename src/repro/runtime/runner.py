@@ -1,41 +1,29 @@
-"""Isolating experiment runner with a structured failure report.
+"""``run all``'s front-end over the sweep engine, with a failure report.
 
 ``python -m repro run all`` used to abort the whole campaign on the first
 experiment exception — hours of simulator work lost to one bad figure.
-:func:`run_experiments` instead executes each experiment under its own
-try/except boundary, records per-experiment outcome, wall time, and the
-full traceback, continues past failures, and lets the CLI exit non-zero
-only after the full sweep.
-
-Two further robustness layers ride on top:
-
-* **Journaling** — pass a :class:`~repro.runtime.journal.SweepJournal`
-  and every terminal outcome is checkpointed as it lands; experiments the
-  journal already marks ``done`` are skipped (their recorded outcome is
-  replayed into the report), which is what makes an interrupted sweep
-  resumable.
-* **Parallel sweeps** — :func:`run_experiments_parallel` fans whole
-  experiments out across a supervised
-  :class:`~repro.runtime.pool.WorkerPool`, inheriting its crash
-  isolation, deadlines, and retry/backoff.
+:func:`sweep_experiments` instead hands every experiment to
+:func:`~repro.runtime.sweep.run_sweep` (journaled, resumable, isolated
+per task, serial or over the worker pool) and turns each outcome into an
+:class:`ExperimentOutcome` — ok/failed, wall time, full traceback — so
+the CLI can exit non-zero only after the full sweep.
 
 Timing rides on the telemetry layer: each experiment runs inside a forced
-``experiment.<name>`` span (the repo's single wall-clock mechanism), and
-while tracing is enabled every outcome additionally carries a per-stage
-time breakdown derived from the spans recorded during that experiment.
+``experiment.<name>`` span (the repo's single wall-clock mechanism).
+While tracing is enabled, an in-process sweep's outcomes also carry a
+per-stage breakdown: the spans recorded between one outcome landing and
+the next, which on the serial path is exactly that experiment's work.
 """
 
 from __future__ import annotations
 
-import logging
-import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
-from .errors import ExperimentError
-from .journal import SweepJournal
 from .logging import get_logger
-from .pool import PoolConfig, PoolTask, WorkerPool
+from .pool import PoolConfig, PoolTask
+from .sweep import SweepOutcome, run_sweep
 from .telemetry import telemetry
 
 _log = get_logger("runtime.runner")
@@ -66,6 +54,8 @@ class FailureReport:
     """Aggregated outcomes of a full sweep."""
 
     outcomes: "list[ExperimentOutcome]" = field(default_factory=list)
+    #: True when SIGINT/SIGTERM ended the sweep before every experiment ran.
+    interrupted: bool = False
 
     @property
     def num_failed(self) -> int:
@@ -123,162 +113,76 @@ def _stage_delta(before: "dict[str, float]", after: "dict[str, float]") -> "dict
     return delta
 
 
-def _replay_journaled(
-    name: str,
-    description: str,
-    journal: SweepJournal,
-    report: FailureReport,
-    emit: "Callable[[str], None]",
-) -> None:
-    """Skip an experiment the journal marks done; replay its outcome."""
-    entry = journal.entry(name) or {}
-    emit(f"=== {name}: {description} ===")
-    emit(f"--- {name} resumed from journal "
-         f"(finished in {entry.get('wall_time_s', 0.0):.1f}s) ---\n")
-    report.outcomes.append(
-        ExperimentOutcome(
-            name=name,
-            description=description,
-            ok=True,
-            wall_time_s=float(entry.get("wall_time_s", 0.0)),
-            resumed=True,
-        )
-    )
+def run_experiment(name: str, fn: Callable, *args: Any) -> Any:
+    """Pool-task body: ``fn(*args)`` inside a forced ``experiment.<name>`` span."""
+    with telemetry().span(f"experiment.{name}", force=True):
+        return fn(*args)
 
 
-def _journal_outcome(
-    journal: "SweepJournal | None", outcome: ExperimentOutcome, attempts: int = 1
-) -> None:
-    if journal is None:
-        return
-    journal.record(
-        outcome.name,
-        "done" if outcome.ok else "failed",
-        payload={"description": outcome.description, "error": outcome.error},
-        attempts=attempts,
-        wall_time_s=outcome.wall_time_s,
-    )
-
-
-def run_experiments(
-    experiments: "list[tuple[str, str, Callable[[], str]]]",
-    emit: "Callable[[str], None]" = print,
-    isolate: bool = True,
-    journal: "SweepJournal | None" = None,
-    report: "FailureReport | None" = None,
-) -> FailureReport:
-    """Run ``(name, description, thunk)`` experiments, isolating failures.
-
-    Each thunk's returned string is passed to ``emit`` (stdout by
-    default).  With ``isolate=False`` the first failure re-raises as
-    :class:`ExperimentError` — the behavior single-experiment runs want.
-
-    With a ``journal``, terminal outcomes are checkpointed as they land
-    and already-``done`` experiments are skipped (resume).  Passing a
-    ``report`` lets callers keep the partial outcomes when the sweep is
-    interrupted mid-flight (the report object is mutated in place).
-    """
-    report = report if report is not None else FailureReport()
-    completed = journal.completed_keys() if journal is not None else set()
-    for name, description, thunk in experiments:
-        if name in completed:
-            _replay_journaled(name, description, journal, report, emit)
-            continue
-        emit(f"=== {name}: {description} ===")
-        totals_before = _span_totals()
-        timer = telemetry().span(f"experiment.{name}", force=True)
-        try:
-            with timer:
-                emit(thunk())
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            elapsed = timer.duration_s
-            outcome = ExperimentOutcome(
-                name=name,
-                description=description,
-                ok=False,
-                wall_time_s=elapsed,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback.format_exc(),
-                stage_seconds=_stage_delta(totals_before, _span_totals()),
-            )
-            report.outcomes.append(outcome)
-            _journal_outcome(journal, outcome)
-            _log.log(
-                logging.ERROR,
-                f"experiment failed name={name} error={type(exc).__name__}",
-            )
-            emit(f"--- {name} FAILED after {elapsed:.1f}s: "
-                 f"{type(exc).__name__}: {exc} ---\n")
-            if not isolate:
-                raise ExperimentError(name, exc) from exc
-            continue
-        elapsed = timer.duration_s
-        outcome = ExperimentOutcome(
-            name=name,
-            description=description,
-            ok=True,
-            wall_time_s=elapsed,
-            stage_seconds=_stage_delta(totals_before, _span_totals()),
-        )
-        report.outcomes.append(outcome)
-        _journal_outcome(journal, outcome)
-        emit(f"--- {name} done in {elapsed:.1f}s ---\n")
-    return report
-
-
-def run_experiments_parallel(
+def sweep_experiments(
     experiments: "list[tuple[str, str, Callable, tuple]]",
-    pool_config: PoolConfig,
+    journal_path: "str | Path",
+    fingerprint: "dict[str, Any] | None" = None,
+    pool_config: "PoolConfig | None" = None,
+    resume: bool = False,
     emit: "Callable[[str], None]" = print,
-    journal: "SweepJournal | None" = None,
-    report: "FailureReport | None" = None,
 ) -> FailureReport:
-    """Fan whole experiments out across a supervised worker pool.
+    """Run ``(name, description, fn, args)`` experiments as one sweep.
 
-    ``experiments`` is ``(name, description, fn, args)`` with a *picklable*
-    ``fn`` returning the printable result string (lambdas won't cross the
-    process boundary).  Each experiment inherits the pool's crash
-    isolation, deadline, and retry semantics; terminal outcomes land in
-    completion order, are journaled immediately, and ``KeyboardInterrupt``
-    leaves the partial outcomes in the caller-supplied ``report``.
+    ``fn(*args)`` returns the experiment's printable result, which is
+    passed to ``emit`` (stdout by default) as the outcome lands.  ``fn``
+    and ``args`` must be picklable when ``pool_config.workers > 1``;
+    serial sweeps run in-process.  Already-``done`` journal keys are
+    replayed instead of re-run when ``resume`` is set; the report's
+    ``interrupted`` flag says SIGINT/SIGTERM cut the sweep short.
     """
-    report = report if report is not None else FailureReport()
-    completed = journal.completed_keys() if journal is not None else set()
-    descriptions: "dict[str, str]" = {}
-    tasks: "list[PoolTask]" = []
-    for name, description, fn, args in experiments:
-        descriptions[name] = description
-        if name in completed:
-            _replay_journaled(name, description, journal, report, emit)
-            continue
-        tasks.append(PoolTask(key=name, fn=fn, args=tuple(args)))
+    pool_config = pool_config or PoolConfig()
+    descriptions = {name: description for name, description, _, _ in experiments}
+    tasks = [
+        PoolTask(key=name, fn=run_experiment, args=(name, fn, *args))
+        for name, _, fn, args in experiments
+    ]
+    report = FailureReport()
+    in_process = pool_config.workers <= 1
+    totals = _span_totals()
 
-    def on_result(result: "Any") -> None:
-        description = descriptions[result.key]
-        emit(f"=== {result.key}: {description} ===")
-        if result.ok:
-            emit(result.value)
-            emit(f"--- {result.key} done in {result.wall_time_s:.1f}s ---\n")
+    def on_outcome(outcome: SweepOutcome) -> None:
+        nonlocal totals
+        name = outcome.key
+        emit(f"=== {name}: {descriptions[name]} ===")
+        stages: "dict[str, float]" = {}
+        if outcome.resumed:
+            emit(f"--- {name} resumed from journal "
+                 f"(finished in {outcome.wall_time_s:.1f}s) ---\n")
         else:
-            _log.log(
-                logging.ERROR,
-                f"experiment failed name={result.key} error={result.error}",
-            )
-            emit(f"--- {result.key} FAILED after {result.wall_time_s:.1f}s: "
-                 f"{result.error} ---\n")
-        outcome = ExperimentOutcome(
-            name=result.key,
-            description=description,
-            ok=result.ok,
-            wall_time_s=result.wall_time_s,
-            error=result.error,
-            traceback=result.traceback,
-        )
-        report.outcomes.append(outcome)
-        _journal_outcome(journal, outcome, attempts=result.attempts)
+            if in_process:
+                now = _span_totals()
+                stages, totals = _stage_delta(totals, now), now
+            if outcome.ok:
+                emit(outcome.value)
+                emit(f"--- {name} done in {outcome.wall_time_s:.1f}s ---\n")
+            else:
+                _log.error("experiment failed name=%s error=%s", name, outcome.error)
+                emit(f"--- {name} FAILED after {outcome.wall_time_s:.1f}s: "
+                     f"{outcome.error} ---\n")
+        report.outcomes.append(ExperimentOutcome(
+            name=name,
+            description=descriptions[name],
+            ok=outcome.ok,
+            wall_time_s=outcome.wall_time_s,
+            error=outcome.error,
+            traceback=outcome.traceback,
+            stage_seconds=stages,
+            resumed=outcome.resumed,
+        ))
 
-    with WorkerPool(pool_config) as pool:
-        pool.run(tasks, on_result=on_result)
+    sweep = run_sweep(
+        tasks, journal_path, fingerprint or {}, pool_config,
+        resume=resume,
+        payload=lambda result: {
+            "description": descriptions[result.key], "error": result.error,
+        },
+        on_outcome=on_outcome,
+    )
+    report.interrupted = sweep.interrupted
     return report

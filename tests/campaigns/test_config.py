@@ -195,20 +195,66 @@ def test_journal_fingerprint_names_digest():
     assert fingerprint["config_digest"] == config_digest(config)
 
 
-def test_load_campaign_subset_matches_default_loader(tmp_path):
+def test_load_campaign_reads_yaml_file(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text(
         "campaign: demo\npreset: fast\n"
         "axes:\n  experiment: [fig8, fig9]\n  seed: [0, 1]\n"
         "stop:\n  max_failures: 2\n"
     )
-    via_default = load_campaign(path)
-    via_subset = load_campaign(path, force_subset=True)
-    assert via_default == via_subset
-    assert config_digest(via_default) == config_digest(via_subset)
+    config = load_campaign(path)
+    assert config == parse_campaign({
+        "campaign": "demo", "preset": "fast",
+        "axes": {"experiment": ["fig8", "fig9"], "seed": [0, 1]},
+        "stop": {"max_failures": 2},
+    })
+    assert len(expand_cells(config)) == 4
+
+
+def test_malformed_yaml_is_a_config_error_with_position(tmp_path):
+    path = tmp_path / "tabs.yaml"
+    path.write_text("campaign: demo\n\tpreset: fast\nexperiment: sec6d\n")
+    with pytest.raises(CampaignConfigError) as excinfo:
+        load_campaign(path)
+    assert excinfo.value.source == str(path)
+    (error,) = excinfo.value.errors
+    assert error.startswith("YAML parse error: line 2, column 1:")
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("campaign: demo\npreset: fast\nexperiment: sec6d\npreset: default\n",
+     4, "preset"),
+    ("campaign: demo\nexperiment: sec6d\naxes:\n"
+     "  seed: [0, 1]\n  seed: [2]\n", 5, "seed"),
+    ("campaign: demo\nexperiment: sec6d\nstop:\n"
+     "  max_failures: 1\n  max_failures: 2\n", 5, "max_failures"),
+], ids=["top-level", "axes", "stop"])
+def test_duplicate_keys_rejected_with_line(tmp_path, text, line, key):
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    with pytest.raises(CampaignConfigError) as excinfo:
+        load_campaign(path)
+    (error,) = excinfo.value.errors
+    assert f"line {line}," in error
+    assert f"duplicate key {key!r}" in error
 
 
 def test_load_campaign_missing_file():
     with pytest.raises(CampaignConfigError) as excinfo:
         load_campaign("/nonexistent/campaign.yaml")
     assert any("unreadable" in error for error in excinfo.value.errors)
+
+
+@pytest.mark.parametrize("text", [
+    "campaign: demo\n\tpreset: fast\nexperiment: sec6d\n",
+    "campaign: demo\nexperiment: sec6d\npreset: fast\npreset: default\n",
+], ids=["tab", "duplicate-key"])
+def test_validate_exits_2_naming_file_and_line(tmp_path, capsys, text):
+    import repro.cli as cli
+
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    assert cli.main(["campaign", "validate", str(path)]) == 2
+    logged = capsys.readouterr().err
+    assert str(path) in logged
+    assert "YAML parse error: line " in logged

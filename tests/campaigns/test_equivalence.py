@@ -64,9 +64,6 @@ def test_every_committed_example_validates(example):
     config = load_campaign(EXAMPLES / example)
     cells = expand_cells(config)
     assert cells, f"{example} expands to zero cells"
-    # Both loaders (PyYAML and the subset fallback) agree on the digest.
-    subset = load_campaign(EXAMPLES / example, force_subset=True)
-    assert config_digest(subset) == config_digest(config)
 
 
 def test_example_inventory_covers_paper_sections():
