@@ -7,7 +7,6 @@ articulated :class:`~repro.geometry.human.HumanModel` that replaces the
 paper's GLoT video-to-mesh pipeline.
 """
 
-from .io import load_obj, save_obj
 from .human import (
     ACTIVITY_NAMES,
     BODY_ATTACHMENT_POINTS,
@@ -62,7 +61,6 @@ __all__ = [
     "facing_mask",
     "hand_trajectory",
     "incidence_cosines",
-    "load_obj",
     "merge_meshes",
     "mirror_activity",
     "occlusion_mask",
@@ -71,7 +69,6 @@ __all__ = [
     "rotation_x",
     "rotation_y",
     "rotation_z",
-    "save_obj",
     "subject_placement",
     "uv_sphere",
     "visibility_geometry",

@@ -31,21 +31,12 @@ from .layers import (
     Tanh,
 )
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .normalization import BatchNorm1d, LayerNorm
 from .recurrent import GRU, LSTM, GRUCell, LSTMCell
-from .schedules import (
-    ScheduledOptimizer,
-    constant_schedule,
-    cosine_decay,
-    step_decay,
-    warmup,
-)
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import Parameter, Tensor, concat, is_grad_enabled, no_grad, stack
 
 __all__ = [
     "Adam",
-    "BatchNorm1d",
     "Conv2d",
     "Dropout",
     "Flatten",
@@ -53,7 +44,6 @@ __all__ = [
     "GRUCell",
     "LSTM",
     "LSTMCell",
-    "LayerNorm",
     "Linear",
     "MaxPool2d",
     "Module",
@@ -61,14 +51,11 @@ __all__ = [
     "Parameter",
     "ReLU",
     "SGD",
-    "ScheduledOptimizer",
     "Sequential",
     "Tanh",
     "Tensor",
     "clip_grad_norm",
     "concat",
-    "constant_schedule",
-    "cosine_decay",
     "conv2d",
     "cross_entropy",
     "dropout",
@@ -85,7 +72,5 @@ __all__ = [
     "save_checkpoint",
     "softmax",
     "stack",
-    "step_decay",
-    "warmup",
     "xavier_uniform",
 ]

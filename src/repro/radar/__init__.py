@@ -25,13 +25,6 @@ from .noise import (
     noise_sigma,
     random_environment,
 )
-from .pointcloud import (
-    CfarConfig,
-    RadarPointCloud,
-    ca_cfar_2d,
-    extract_pointcloud,
-    pointcloud_sequence,
-)
 from .processing import (
     angle_axis_degrees,
     angle_fft,
@@ -49,21 +42,18 @@ from .simulator import FacetSet, FmcwRadarSimulator, RadarConfig
 
 __all__ = [
     "AntennaArray",
-    "CfarConfig",
     "ChirpConfig",
     "DEFAULT_HEATMAP_CONFIG",
     "FacetSet",
     "FmcwRadarSimulator",
     "HeatmapConfig",
     "RadarConfig",
-    "RadarPointCloud",
     "SPEED_OF_LIGHT",
     "add_thermal_noise",
     "add_thermal_noise_reference",
     "complex_awgn",
     "noise_sigma",
     "angle_axis_degrees",
-    "ca_cfar_2d",
     "angle_fft",
     "angle_fft_sequence",
     "doppler_fft",
@@ -71,13 +61,11 @@ __all__ = [
     "drai_frame",
     "drai_sequence",
     "drai_sequence_reference",
-    "extract_pointcloud",
     "hann_window",
     "heatmap_deviation",
     "integrate_chirps",
     "log_compress",
     "mti_filter",
-    "pointcloud_sequence",
     "random_environment",
     "range_fft",
     "range_fft_sequence",

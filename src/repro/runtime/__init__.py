@@ -16,7 +16,6 @@ per CLI invocation.
 from .backoff import RetryPolicy, retry_call
 from .errors import (
     CacheCorruptionError,
-    ExperimentError,
     JournalError,
     PoolError,
     ReproError,
@@ -59,7 +58,6 @@ from .telemetry import (
 __all__ = [
     "CacheCorruptionError",
     "Counter",
-    "ExperimentError",
     "ExperimentOutcome",
     "FailureReport",
     "Gauge",

@@ -11,7 +11,6 @@ The hierarchy mirrors the pipeline stages::
     ├── CacheCorruptionError      dataset cache archive unusable
     ├── SimulationError           simulator produced non-finite output
     ├── TrainingDivergenceError   NaN/Inf loss during Trainer.fit
-    ├── ExperimentError           one experiment of a sweep failed
     ├── PoolError                 the worker pool itself is unusable
     ├── JournalError              sweep journal unusable for resume
     ├── CampaignError             campaign config or run unusable
@@ -60,15 +59,6 @@ class TrainingDivergenceError(ReproError):
         )
         self.epoch = epoch
         self.loss = loss
-
-
-class ExperimentError(ReproError):
-    """One experiment of a sweep failed; carries the original cause."""
-
-    def __init__(self, name: str, cause: BaseException):
-        super().__init__(f"experiment {name!r} failed: {cause!r}")
-        self.name = name
-        self.cause = cause
 
 
 class PoolError(ReproError):

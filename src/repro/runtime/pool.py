@@ -36,7 +36,6 @@ and counters ``pool.tasks_completed``, ``pool.tasks_failed``,
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ import numpy as np
 from .backoff import RetryPolicy
 from .errors import PoolError
 from .logging import get_logger
+from .supervisor import ChildProcess
 from .telemetry import metrics, telemetry
 
 __all__ = [
@@ -61,6 +61,9 @@ __all__ = [
 
 _log = get_logger("runtime.pool")
 
+#: Supervisor wake-up interval for deadline/death checks.
+_POLL_INTERVAL_S = 0.05
+
 
 def derive_task_seed(campaign_seed: int, task_index: int) -> np.random.SeedSequence:
     """The per-task seed root: ``SeedSequence((campaign_seed, task_index))``.
@@ -73,11 +76,6 @@ def derive_task_seed(campaign_seed: int, task_index: int) -> np.random.SeedSeque
     return np.random.SeedSequence((int(campaign_seed), int(task_index)))
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 @dataclass(frozen=True)
 class PoolConfig:
     """Supervision knobs of the worker pool."""
@@ -86,10 +84,6 @@ class PoolConfig:
     #: Per-task wall-clock deadline; ``None`` disables deadline kills.
     task_timeout_s: "float | None" = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: ``fork`` (default where available) or ``spawn``.
-    start_method: str = field(default_factory=_default_start_method)
-    #: Supervisor wake-up interval for deadline/death checks.
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -98,10 +92,6 @@ class PoolConfig:
             raise ValueError(
                 f"task_timeout_s must be positive, got {self.task_timeout_s}"
             )
-        if self.start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(f"unsupported start method {self.start_method!r}")
-        if self.poll_interval_s <= 0.0:
-            raise ValueError("poll_interval_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,7 +138,7 @@ class _Attempt:
         return (self.eligible_at, self.index) < (other.eligible_at, other.index)
 
 
-def _worker_main(worker_id: int, conn) -> None:
+def _worker_main(conn) -> None:
     """Worker loop: recv task, run it, send outcome; ``None`` stops."""
     while True:
         try:
@@ -187,47 +177,15 @@ def _worker_main(worker_id: int, conn) -> None:
 
 
 class _Worker:
-    """Parent-side handle: the process, its pipe, and its current task."""
+    """Parent-side handle: a child process and the task it currently holds."""
 
-    __slots__ = ("id", "process", "conn", "current", "deadline", "started_at")
+    __slots__ = ("child", "current", "deadline", "started_at")
 
-    def __init__(self, worker_id: int, context):
-        parent_conn, child_conn = context.Pipe()
-        self.id = worker_id
-        self.conn = parent_conn
+    def __init__(self, worker_id: int):
+        self.child = ChildProcess(_worker_main, name=f"repro-pool-{worker_id}")
         self.current: "_Attempt | None" = None
         self.deadline: "float | None" = None
         self.started_at = 0.0
-        self.process = context.Process(
-            target=_worker_main,
-            args=(worker_id, child_conn),
-            name=f"repro-pool-{worker_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def kill(self) -> None:
-        try:
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-            if self.process.is_alive():  # pragma: no cover - stuck in kernel
-                self.process.kill()
-                self.process.join(timeout=2.0)
-        finally:
-            self.conn.close()
-
-    def stop(self) -> None:
-        """Polite shutdown: sentinel, short join, then terminate."""
-        try:
-            self.conn.send(None)
-        except (OSError, BrokenPipeError, ValueError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.kill()
-        else:
-            self.conn.close()
 
 
 class WorkerPool:
@@ -240,7 +198,6 @@ class WorkerPool:
 
     def __init__(self, config: "PoolConfig | None" = None):
         self.config = config or PoolConfig()
-        self._context = multiprocessing.get_context(self.config.start_method)
         self._workers: "list[_Worker]" = []
         self._next_worker_id = 0
         self._respawn_budget = 0
@@ -258,12 +215,12 @@ class WorkerPool:
 
     def shutdown(self) -> None:
         for worker in self._workers:
-            worker.stop()
+            worker.child.stop()
         self._workers.clear()
 
     def _spawn_worker(self) -> "_Worker | None":
         try:
-            worker = _Worker(self._next_worker_id, self._context)
+            worker = _Worker(self._next_worker_id)
         except OSError as exc:
             _log.warning("worker spawn failed: %s", exc)
             return None
@@ -352,11 +309,11 @@ class WorkerPool:
     # -- supervision steps ---------------------------------------------
     def _reap_dead_workers(self, tasks, pending, results, on_result, now) -> None:
         for worker in list(self._workers):
-            if worker.process.is_alive():
+            if worker.child.alive:
                 continue
-            exitcode = worker.process.exitcode
+            exitcode = worker.child.exitcode
             self._workers.remove(worker)
-            worker.conn.close()
+            worker.child.kill()
             metrics().counter("pool.worker_deaths").inc()
             if worker.current is not None:
                 attempt = worker.current
@@ -390,7 +347,7 @@ class WorkerPool:
             metrics().counter("pool.timeouts").inc()
             self._finish_attempt(worker, attempt, now)
             self._workers.remove(worker)
-            worker.kill()
+            worker.child.kill()
             self._record_failure(
                 tasks, pending, results, on_result, attempt,
                 "task deadline exceeded", "", now,
@@ -406,10 +363,10 @@ class WorkerPool:
             attempt = heapq.heappop(pending)
             task = tasks[attempt.index]
             try:
-                worker.conn.send(
+                worker.child.send(
                     (attempt.index, attempt.number, task.fn, task.args, task.kwargs)
                 )
-            except (OSError, BrokenPipeError):
+            except OSError:
                 # The worker's pipe is gone: it died between reaping cycles.
                 # Put the attempt back; the death is handled next cycle.
                 heapq.heappush(pending, attempt)
@@ -431,13 +388,13 @@ class WorkerPool:
             worker.deadline = None if timeout is None else now + timeout
 
     def _collect(self, tasks, pending, results, on_result) -> None:
-        conns = [w.conn for w in self._workers]
+        conns = [w.child.conn for w in self._workers]
         try:
-            ready = mp_connection.wait(conns, timeout=self.config.poll_interval_s)
+            ready = mp_connection.wait(conns, timeout=_POLL_INTERVAL_S)
         except OSError:  # a connection died mid-wait; reaped next cycle
             return
         for conn in ready:
-            worker = next((w for w in self._workers if w.conn is conn), None)
+            worker = next((w for w in self._workers if w.child.conn is conn), None)
             if worker is None:
                 continue
             try:

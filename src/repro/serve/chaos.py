@@ -106,11 +106,6 @@ def run_chaos(
     and the fleet metrics counters.
     """
     plan = plan or ChaosPlan()
-    if plan.target_slot >= len(fleet.replica_states()):
-        raise ValueError(
-            f"target_slot {plan.target_slot} out of range for "
-            f"{len(fleet.replica_states())} replicas"
-        )
     pid_before = fleet.replica_pid(plan.target_slot)
     injection: "dict | None" = None
     summary: "dict | None" = None

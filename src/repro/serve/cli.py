@@ -403,6 +403,12 @@ def _run_chaos_infer(args: argparse.Namespace, log) -> int:
     if not args.registry:
         log.error("--chaos needs --registry to self-host a fleet")
         return 2
+    if not 0 <= args.chaos_slot < args.chaos_replicas:
+        log.error(
+            "--chaos-slot %d is outside the fleet's slots 0..%d",
+            args.chaos_slot, args.chaos_replicas - 1,
+        )
+        return 2
     fleet_config = FleetConfig(
         replicas=args.chaos_replicas,
         engine=EngineConfig(screen_by_default=False),

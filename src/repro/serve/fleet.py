@@ -3,20 +3,22 @@
 One :class:`~repro.serve.engine.InferenceEngine` in one process is a single
 point of failure — a crash, hang, or cold model reload takes the whole
 front door down.  :class:`ReplicaFleet` runs N engines as worker
-*processes* (the same supervision idioms as :mod:`repro.runtime.pool`:
-explicit assignment over per-replica pipes, death detection, bounded
-respawn with seeded backoff) and presents the same ``submit()`` surface as
-a single engine, so the HTTP layer fronts either interchangeably.
+*processes* — each one a :class:`~repro.runtime.supervisor.ChildProcess`,
+the same handle :mod:`repro.runtime.pool` runs its workers on — and
+presents the same ``submit()`` surface as a single engine, so the HTTP
+layer fronts either interchangeably.  The fleet adds only its own policy:
+routing, the health state machine, heartbeats, the circuit breaker, hot
+reload, and a per-slot seeded respawn backoff.
 
 Per-replica health is an explicit state machine::
 
     STARTING ──started──▶ READY ◀──recovered── DEGRADED
                             │                      │
-                            └──errors/latency──────┘
+                            └──────errors──────────┘
             READY/DEGRADED ──death/heartbeat-timeout──▶ DEAD ──respawn──▶ STARTING
             any ──drain()──▶ DRAINING ──flushed──▶ DEAD
 
-driven by heartbeat pings and a rolling per-replica error/latency window.
+driven by heartbeat pings and a rolling per-replica error-rate window.
 Dispatch is least-loaded over READY replicas only; a replica that dies
 holding requests fails exactly those in-flight requests
 (:class:`~repro.runtime.errors.ReplicaDiedError` → 503) and is respawned
@@ -33,7 +35,7 @@ zero requests ever hit a cold or half-loaded model.
 
 Graceful drain (SIGTERM path): ``stop()`` stops admitting
 (:class:`~repro.runtime.errors.DrainingError` → 503), flushes in-flight
-requests up to ``drain_timeout_s``, then shuts the replicas down.
+requests up to :data:`DRAIN_TIMEOUT_S`, then shuts the replicas down.
 
 Telemetry (parent-side): ``fleet.request``/``fleet.reload`` spans,
 ``fleet.requests_total`` / ``fleet.respawns_total`` /
@@ -48,7 +50,6 @@ Telemetry (parent-side): ``fleet.request``/``fleet.reload`` spans,
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import signal
 import threading
@@ -71,6 +72,7 @@ from ..runtime.errors import (
     ServeError,
 )
 from ..runtime.logging import get_logger
+from ..runtime.supervisor import ChildProcess
 from ..runtime.telemetry import MetricsRegistry, metrics, span
 from .engine import SERVE_LATENCY_BUCKETS, EngineConfig, InferenceEngine, Prediction
 from .registry import ModelRegistry
@@ -116,9 +118,25 @@ _CLIENT_FAULTS = (
 )
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+#: Rolling per-replica outcome window (recent request results).
+WINDOW = 32
+#: Outcomes needed before the window can degrade a replica.
+MIN_WINDOW = 8
+#: Window error-rate at/above which a replica is DEGRADED.
+DEGRADE_ERROR_RATE = 0.5
+#: Minimum time a replica stays DEGRADED before re-promotion.
+DEGRADED_COOLDOWN_S = 0.5
+#: Dispatch bound; beyond it a replica is skipped (and with every replica
+#: saturated the request is shed with 429).
+MAX_INFLIGHT_PER_REPLICA = 16
+#: How long a tripped breaker sheds before admitting a probe request.
+BREAKER_COOLDOWN_S = 1.0
+#: Alias watched for hot reload (pre-warm-then-swap on flips).
+RELOAD_ALIAS = "latest"
+#: How long ``stop()`` waits for in-flight requests to flush.
+DRAIN_TIMEOUT_S = 10.0
+#: How long ``start()`` waits for the first replica to come up.
+START_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -135,39 +153,14 @@ class FleetConfig:
     heartbeat_miss_degraded: int = 2
     #: Unanswered pings before the replica is declared hung and killed.
     heartbeat_miss_dead: int = 8
-    #: Rolling per-replica outcome window (recent request results).
-    window: int = 32
-    #: Outcomes needed before the window can degrade a replica.
-    min_window: int = 8
-    #: Window error-rate at/above which a replica is DEGRADED.
-    degrade_error_rate: float = 0.5
-    #: Window mean latency above which a replica is DEGRADED (None = off).
-    degrade_latency_s: "float | None" = None
-    #: Minimum time a replica stays DEGRADED before re-promotion.
-    degraded_cooldown_s: float = 0.5
-    #: Dispatch bound; beyond it a replica is skipped (and with every
-    #: replica saturated the request is shed with 429).
-    max_inflight_per_replica: int = 16
-    #: Bounded respawn schedule per slot (seeded backoff, like the pool).
+    #: Bounded respawn schedule per slot (seeded backoff).
     respawn: RetryPolicy = field(default_factory=lambda: RetryPolicy(
         max_attempts=5, base_delay_s=0.1, max_delay_s=2.0,
     ))
     #: Consecutive server-fault failures per model that trip the breaker.
     breaker_failures: int = 5
-    #: How long a tripped breaker sheds before admitting a probe request.
-    breaker_cooldown_s: float = 1.0
-    #: Alias watched for hot reload (pre-warm-then-swap on flips).
-    reload_alias: str = "latest"
     #: How often the monitor re-resolves the reload alias.
     reload_poll_s: float = 0.5
-    #: Fallback wait bound for requests without an explicit deadline.
-    default_timeout_s: float = 30.0
-    #: How long ``stop()`` waits for in-flight requests to flush.
-    drain_timeout_s: float = 10.0
-    #: How long ``start()`` waits for the first replica to come up.
-    start_timeout_s: float = 60.0
-    #: ``fork`` (default where available) or ``spawn``.
-    start_method: str = field(default_factory=_default_start_method)
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -178,31 +171,18 @@ class FleetConfig:
             raise ValueError(
                 "need 1 <= heartbeat_miss_degraded <= heartbeat_miss_dead"
             )
-        if self.window < 1 or self.min_window < 1:
-            raise ValueError("window and min_window must be >= 1")
-        if not 0.0 < self.degrade_error_rate <= 1.0:
-            raise ValueError("degrade_error_rate must be in (0, 1]")
-        if self.max_inflight_per_replica < 1:
-            raise ValueError("max_inflight_per_replica must be >= 1")
         if self.breaker_failures < 1:
             raise ValueError("breaker_failures must be >= 1")
-        if self.breaker_cooldown_s <= 0.0:
-            raise ValueError("breaker_cooldown_s must be > 0")
-        if self.default_timeout_s <= 0.0:
-            raise ValueError("default_timeout_s must be > 0")
-        if self.start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(f"unsupported start method {self.start_method!r}")
 
 
 # ----------------------------------------------------------------------
 # Replica child process
 # ----------------------------------------------------------------------
 def _replica_main(
-    slot: int,
     conn,
+    slot: int,
     registry_root: str,
     engine_config: EngineConfig,
-    reload_alias: str,
 ) -> None:
     """Worker loop: one micro-batching engine served over a pipe.
 
@@ -236,12 +216,12 @@ def _replica_main(
         try:
             with send_lock:
                 conn.send(message)
-        except (OSError, BrokenPipeError, ValueError):
+        except (OSError, ValueError):
             pass  # parent gone; the loop's recv will see EOF next
 
     warmed = None
     try:
-        warmed = engine.warm(reload_alias).model_id
+        warmed = engine.warm(RELOAD_ALIAS).model_id
     except ReproError as exc:
         _log.info("replica %d has no warm model yet: %s", slot, exc)
     _send(("started", warmed))
@@ -346,14 +326,12 @@ def _rebuild_error(name: "str | None", message: "str | None") -> Exception:
 
 
 class _Replica:
-    """Parent-side handle: process, pipe, health, and in-flight requests."""
+    """Parent-side handle: a child process, its health and in-flight requests."""
 
-    def __init__(self, slot: int, generation: int, process, conn, window: int):
+    def __init__(self, slot: int, generation: int, child: ChildProcess):
         self.slot = slot
         self.generation = generation
-        self.process = process
-        self.conn = conn
-        self.send_lock = threading.Lock()
+        self.child = child
         self.lock = threading.Lock()
         self.state = ReplicaState.STARTING
         self.state_since = time.monotonic()
@@ -361,20 +339,12 @@ class _Replica:
         self.inflight: "dict[int, _FleetPending]" = {}
         self.pings_unanswered = 0
         self.last_pong = time.monotonic()
-        self.window: "deque[tuple[bool, float]]" = deque(maxlen=window)
+        self.window: "deque[tuple[bool, float]]" = deque(maxlen=WINDOW)
         self.warmed_models: "set[str]" = set()
         self.receiver: "threading.Thread | None" = None
         #: Last metrics snapshot piggybacked on a pong (None until the
         #: first heartbeat round-trips).
         self.metrics_snapshot: "dict | None" = None
-
-    @property
-    def pid(self) -> "int | None":
-        return self.process.pid
-
-    def send(self, message: tuple) -> None:
-        with self.send_lock:
-            self.conn.send(message)
 
     def describe(self, respawns: int) -> dict:
         with self.lock:
@@ -382,7 +352,7 @@ class _Replica:
         return {
             "slot": self.slot,
             "state": self.state,
-            "pid": self.pid,
+            "pid": self.child.pid,
             "generation": self.generation,
             "inflight": inflight,
             "respawns": respawns,
@@ -429,7 +399,6 @@ class ReplicaFleet:
     def __init__(self, registry: ModelRegistry, config: "FleetConfig | None" = None):
         self.registry = registry
         self.config = config or FleetConfig()
-        self._context = multiprocessing.get_context(self.config.start_method)
         self._slots = [_Slot(index) for index in range(self.config.replicas)]
         self._lock = threading.Lock()
         self._running = False
@@ -459,9 +428,7 @@ class ReplicaFleet:
         self._running = True
         self._draining = False
         try:
-            self._alias_pin[self.config.reload_alias] = self.registry.resolve(
-                self.config.reload_alias
-            )
+            self._alias_pin[RELOAD_ALIAS] = self.registry.resolve(RELOAD_ALIAS)
         except ReproError:
             pass  # empty registry; pin once the alias first resolves
         now = time.monotonic()
@@ -471,11 +438,9 @@ class ReplicaFleet:
             target=self._monitor_loop, name="fleet-monitor", daemon=True
         )
         self._monitor.start()
-        if not self.wait_until_ready(1, self.config.start_timeout_s):
+        if not self.wait_until_ready(1, START_TIMEOUT_S):
             self.stop()
-            raise ServeError(
-                f"no replica became READY within {self.config.start_timeout_s}s"
-            )
+            raise ServeError(f"no replica became READY within {START_TIMEOUT_S}s")
         return self
 
     def stop(self) -> None:
@@ -493,18 +458,7 @@ class ReplicaFleet:
             if replica is None:
                 continue
             self._set_state(replica, ReplicaState.DEAD)
-            try:
-                replica.send(None)
-            except (OSError, BrokenPipeError, ValueError):
-                pass
-            replica.process.join(timeout=2.0)
-            if replica.process.is_alive():
-                replica.process.kill()
-                replica.process.join(timeout=2.0)
-            try:
-                replica.conn.close()
-            except OSError:
-                pass
+            replica.child.stop()
             if replica.receiver is not None:
                 replica.receiver.join(timeout=2.0)
             slot.replica = None
@@ -523,7 +477,7 @@ class ReplicaFleet:
             ):
                 self._set_state(replica, ReplicaState.DRAINING)
         deadline = time.monotonic() + (
-            self.config.drain_timeout_s if timeout_s is None else timeout_s
+            DRAIN_TIMEOUT_S if timeout_s is None else timeout_s
         )
         while time.monotonic() < deadline:
             if self.queue_depth() == 0:
@@ -557,8 +511,8 @@ class ReplicaFleet:
         model_id = self.registry.resolve(ref)
         for replica in self._live_replicas():
             try:
-                replica.send(("warm", model_id))
-            except (OSError, BrokenPipeError):
+                replica.child.send(("warm", model_id))
+            except OSError:
                 continue
         return model_id
 
@@ -631,7 +585,7 @@ class ReplicaFleet:
         if deadline_s is not None and deadline_s <= 0.0:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
         self._check_breaker(model_id)
-        timeout_s = deadline_s if deadline_s is not None else self.config.default_timeout_s
+        timeout_s = deadline_s or self.config.engine.default_timeout_s
 
         replica = self._pick_replica()
         with self._req_lock:
@@ -641,11 +595,11 @@ class ReplicaFleet:
             replica.inflight[req_id] = pending
         start = time.monotonic()
         try:
-            replica.send(
+            replica.child.send(
                 ("predict", req_id, sequence, model_id, screen, deadline_s,
                  request_id)
             )
-        except (OSError, BrokenPipeError, ValueError):
+        except (OSError, ValueError):
             with replica.lock:
                 replica.inflight.pop(req_id, None)
             exc = ReplicaDiedError(
@@ -711,11 +665,11 @@ class ReplicaFleet:
                 retry_after_s=retry_after,
             )
         load, replica = min(candidates, key=lambda pair: pair[0])
-        if load >= self.config.max_inflight_per_replica:
+        if load >= MAX_INFLIGHT_PER_REPLICA:
             metrics().counter("fleet.load_shed_total").inc()
             raise OverloadError(
                 f"every READY replica is at its in-flight cap "
-                f"({self.config.max_inflight_per_replica}); retry later"
+                f"({MAX_INFLIGHT_PER_REPLICA}); retry later"
             )
         return replica
 
@@ -798,9 +752,7 @@ class ReplicaFleet:
             breaker.failures += 1
             breaker.half_open_probe = False
             if breaker.failures >= self.config.breaker_failures:
-                breaker.open_until = (
-                    time.monotonic() + self.config.breaker_cooldown_s
-                )
+                breaker.open_until = time.monotonic() + BREAKER_COOLDOWN_S
                 metrics().counter("fleet.breaker_trips").inc()
                 _log.warning(
                     "circuit breaker open for model %s after %d failures",
@@ -811,31 +763,19 @@ class ReplicaFleet:
     # Spawn / receive / death
     # ------------------------------------------------------------------
     def _spawn(self, slot: _Slot, now: float) -> None:
-        parent_conn, child_conn = self._context.Pipe()
         try:
-            process = self._context.Process(
-                target=_replica_main,
-                args=(
-                    slot.index,
-                    child_conn,
-                    str(self.registry.root),
-                    self.config.engine,
-                    self.config.reload_alias,
-                ),
+            child = ChildProcess(
+                _replica_main,
+                (slot.index, str(self.registry.root), self.config.engine),
                 name=f"repro-replica-{slot.index}",
-                daemon=True,
             )
-            process.start()
         except OSError as exc:
             _log.warning("replica %d spawn failed: %s", slot.index, exc)
             slot.next_spawn_at = now + self.config.respawn.delay_s(
                 max(slot.attempts, 1), seed=slot.index
             )
             return
-        child_conn.close()
-        replica = _Replica(
-            slot.index, slot.attempts, process, parent_conn, self.config.window
-        )
+        replica = _Replica(slot.index, slot.attempts, child)
         replica.receiver = threading.Thread(
             target=self._receive_loop,
             args=(replica,),
@@ -847,14 +787,14 @@ class ReplicaFleet:
         self._update_gauges()
         _log.info(
             "replica %d spawned pid=%d generation=%d",
-            slot.index, process.pid, replica.generation,
+            slot.index, child.pid, replica.generation,
         )
 
     def _receive_loop(self, replica: "_Replica") -> None:
         """Drain one replica's pipe: results, pongs, warm acks."""
         while True:
             try:
-                message = replica.conn.recv()
+                message = replica.child.conn.recv()
             except (EOFError, OSError):
                 break
             kind = message[0]
@@ -909,21 +849,12 @@ class ReplicaFleet:
 
     def _on_death(self, slot: _Slot, replica: "_Replica", reason: str) -> None:
         _log.warning(
-            "replica %d (pid %s) dead: %s", replica.slot, replica.pid, reason
+            "replica %d (pid %s) dead: %s", replica.slot, replica.child.pid, reason
         )
         metrics().counter("fleet.replica_deaths").inc()
         self._retire_metrics(replica)
         self._set_state(replica, ReplicaState.DEAD)
-        try:
-            if replica.process.is_alive():
-                replica.process.kill()
-            replica.process.join(timeout=2.0)
-        except (OSError, ValueError):  # pragma: no cover - already reaped
-            pass
-        try:
-            replica.conn.close()  # unblocks the receiver -> fails in-flight
-        except OSError:
-            pass
+        replica.child.kill()  # unblocks the receiver -> fails in-flight
         self._fail_inflight(replica)
         slot.replica = None
         slot.attempts += 1
@@ -965,10 +896,10 @@ class ReplicaFleet:
                         metrics().counter("fleet.respawns_total").inc()
                         self._spawn(slot, now)
                     continue
-                if not replica.process.is_alive():
+                if not replica.child.alive:
                     self._on_death(
                         slot, replica,
-                        f"process exited (exitcode {replica.process.exitcode})",
+                        f"process exited (exitcode {replica.child.exitcode})",
                     )
                     continue
                 if ping_due:
@@ -984,8 +915,8 @@ class ReplicaFleet:
             return
         replica.pings_unanswered += 1
         try:
-            replica.send(("ping", replica.pings_unanswered))
-        except (OSError, BrokenPipeError, ValueError):
+            replica.child.send(("ping", replica.pings_unanswered))
+        except (OSError, ValueError):
             self._on_death(slot, replica, "heartbeat pipe closed")
             return
         misses = replica.pings_unanswered - 1  # the one just sent is pending
@@ -994,10 +925,9 @@ class ReplicaFleet:
             # child's recv loop, so unanswered pings are expected; judge
             # a starting replica by the start timeout, not the heartbeat
             # budget.  Queued pings are answered once the loop begins.
-            if now - replica.spawned_at > self.config.start_timeout_s:
+            if now - replica.spawned_at > START_TIMEOUT_S:
                 self._on_death(
-                    slot, replica,
-                    f"never became READY within {self.config.start_timeout_s}s",
+                    slot, replica, f"never became READY within {START_TIMEOUT_S}s"
                 )
             return
         if misses >= self.config.heartbeat_miss_dead:
@@ -1019,15 +949,11 @@ class ReplicaFleet:
     def _window_health(self, replica: "_Replica", now: float) -> None:
         with replica.lock:
             outcomes = list(replica.window)
-        if replica.state == ReplicaState.READY and len(outcomes) >= self.config.min_window:
+        if replica.state == ReplicaState.READY and len(outcomes) >= MIN_WINDOW:
             errors = sum(1 for ok, _ in outcomes if not ok)
             error_rate = errors / len(outcomes)
             mean_latency = sum(latency for _, latency in outcomes) / len(outcomes)
-            slow = (
-                self.config.degrade_latency_s is not None
-                and mean_latency > self.config.degrade_latency_s
-            )
-            if error_rate >= self.config.degrade_error_rate or slow:
+            if error_rate >= DEGRADE_ERROR_RATE:
                 _log.warning(
                     "replica %d DEGRADED (error rate %.2f, mean latency %.3fs)",
                     replica.slot, error_rate, mean_latency,
@@ -1036,9 +962,7 @@ class ReplicaFleet:
                     replica.window.clear()
                 self._set_state(replica, ReplicaState.DEGRADED)
         elif replica.state == ReplicaState.DEGRADED:
-            cooled = (
-                now - replica.state_since >= self.config.degraded_cooldown_s
-            )
+            cooled = now - replica.state_since >= DEGRADED_COOLDOWN_S
             if cooled and replica.pings_unanswered <= 1:
                 _log.info("replica %d recovered; READY", replica.slot)
                 with replica.lock:
@@ -1049,7 +973,7 @@ class ReplicaFleet:
         if now - self._last_reload_check < self.config.reload_poll_s:
             return
         self._last_reload_check = now
-        alias = self.config.reload_alias
+        alias = RELOAD_ALIAS
         try:
             resolved = self.registry.resolve(alias)
         except ReproError:
@@ -1066,8 +990,8 @@ class ReplicaFleet:
             )
             for replica in self._live_replicas():
                 try:
-                    replica.send(("warm", resolved))
-                except (OSError, BrokenPipeError, ValueError):
+                    replica.child.send(("warm", resolved))
+                except (OSError, ValueError):
                     continue
         target = self._reload_target
         if target is None:
@@ -1089,16 +1013,23 @@ class ReplicaFleet:
     # ------------------------------------------------------------------
     # Chaos / introspection hooks
     # ------------------------------------------------------------------
+    def _slot(self, slot: int) -> _Slot:
+        if not 0 <= slot < len(self._slots):
+            raise ValueError(
+                f"slot {slot} out of range for {len(self._slots)} replicas"
+            )
+        return self._slots[slot]
+
     def replica_pid(self, slot: int) -> "int | None":
-        replica = self._slots[slot].replica
-        return replica.pid if replica is not None else None
+        replica = self._slot(slot).replica
+        return replica.child.pid if replica is not None else None
 
     def kill_replica(self, slot: int) -> "int | None":
         """SIGKILL one replica (chaos injection); returns the killed pid."""
-        replica = self._slots[slot].replica
-        if replica is None or replica.pid is None:
+        replica = self._slot(slot).replica
+        if replica is None:
             return None
-        pid = replica.pid
+        pid = replica.child.pid
         try:
             os.kill(pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
@@ -1110,12 +1041,12 @@ class ReplicaFleet:
         """Send a chaos fault (``hang``/``slow``/``crash``) to a replica."""
         if kind not in ("hang", "slow", "crash"):
             raise ValueError(f"unknown fault kind {kind!r}")
-        replica = self._slots[slot].replica
+        replica = self._slot(slot).replica
         if replica is None:
             return False
         try:
-            replica.send(("fault", kind, arg))
-        except (OSError, BrokenPipeError, ValueError):
+            replica.child.send(("fault", kind, arg))
+        except (OSError, ValueError):
             return False
         return True
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.runtime.errors import (
     CacheCorruptionError,
-    ExperimentError,
     ReproError,
     SimulationError,
     TrainingDivergenceError,
@@ -16,7 +15,6 @@ def test_all_pipeline_errors_are_repro_errors():
         CacheCorruptionError,
         SimulationError,
         TrainingDivergenceError,
-        ExperimentError,
     ):
         assert issubclass(cls, ReproError)
     assert issubclass(ReproError, Exception)
@@ -35,14 +33,6 @@ def test_training_divergence_carries_epoch_and_loss():
     assert err.epoch == 7
     assert err.loss != err.loss  # NaN
     assert "epoch 7" in str(err)
-
-
-def test_experiment_error_wraps_cause():
-    cause = RuntimeError("boom")
-    err = ExperimentError("fig8", cause)
-    assert err.name == "fig8"
-    assert err.cause is cause
-    assert "fig8" in str(err)
 
 
 def test_catching_the_family_does_not_swallow_type_errors():

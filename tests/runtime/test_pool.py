@@ -87,8 +87,6 @@ class TestPoolBasics:
             PoolConfig(workers=0)
         with pytest.raises(ValueError):
             PoolConfig(task_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            PoolConfig(start_method="nope")
 
 
 class TestCrashIsolation:

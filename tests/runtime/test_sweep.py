@@ -186,9 +186,7 @@ def test_stop_criterion_reuses_the_one_pool_across_waves(tmp_path, counting_pool
 )
 def test_parallel_sweep_journals_worker_outcomes(tmp_path):
     journal = tmp_path / "j.jsonl"
-    config = PoolConfig(
-        workers=2, start_method="fork", retry=RetryPolicy(max_attempts=1)
-    )
+    config = PoolConfig(workers=2, retry=RetryPolicy(max_attempts=1))
     tasks = _tasks(_square, 4) + [PoolTask(key="bad", fn=_boom, args=(1,))]
     report = run_sweep(tasks, journal, FINGERPRINT, config, payload=_payload)
     by_key = {o.key: o for o in report.outcomes}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.backoff import RetryPolicy
+from repro.runtime.errors import OverloadError
 from repro.serve import (
     EngineConfig,
     ServerConfig,
@@ -139,6 +140,26 @@ def test_burst_with_retries_recovers_shed_requests(
         ),
         ServerConfig(port=0),
     )
+    # Hold the batch worker until the queue has shed once: at most one
+    # batch (4) plus the queue (2) can be admitted, so a 12-request burst
+    # must overflow no matter how the threads are scheduled.
+    engine = server.engine
+    shed = threading.Event()
+    submit, run_batch = engine.submit, engine._run_batch
+
+    def submit_noting_shed(*args, **kwargs):
+        try:
+            return submit(*args, **kwargs)
+        except OverloadError:
+            shed.set()
+            raise
+
+    def run_batch_after_shed(batch):
+        shed.wait(timeout=30.0)
+        run_batch(batch)
+
+    engine.submit = submit_noting_shed
+    engine._run_batch = run_batch_after_shed
     with server:
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05},

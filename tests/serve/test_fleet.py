@@ -20,7 +20,12 @@ from repro.runtime.errors import (
 )
 from repro.runtime.telemetry import metrics
 from repro.serve import EngineConfig, FleetConfig, ModelRegistry, ReplicaFleet
-from repro.serve.fleet import REPLICA_STATES, ReplicaState, _rebuild_error
+from repro.serve.fleet import (
+    BREAKER_COOLDOWN_S,
+    REPLICA_STATES,
+    ReplicaState,
+    _rebuild_error,
+)
 
 from ..conftest import MICRO_MODEL_CONFIG
 from .conftest import NUM_FRAMES
@@ -266,7 +271,7 @@ def test_circuit_breaker_trips_and_half_opens(solo_fleet):
     solo_fleet._check_breaker(model_id)
     with pytest.raises(CircuitOpenError) as excinfo:
         solo_fleet._check_breaker(model_id)
-    assert 0.0 < excinfo.value.retry_after_s <= solo_fleet.config.breaker_cooldown_s
+    assert 0.0 < excinfo.value.retry_after_s <= BREAKER_COOLDOWN_S
     assert metrics().counter("fleet.breaker_trips").value >= 1
     # A successful outcome closes the breaker again.
     solo_fleet._record_outcome(replica, model_id, None, 0.01)
