@@ -19,11 +19,10 @@ Examples::
 registry + micro-batching HTTP server + load-generating client); see
 ``repro.serve`` and the README's Serving section.  ``dashboard`` is the
 read-only control plane over everything the other verbs emit — run
-records, BENCH_*.json trajectories, sweep journals, and a live server's
-fleet metrics (see ``repro.dashboard`` and the README's Dashboard
-section).  ``campaign`` runs YAML-defined experiment grids with
-journaled crash-safe resume (see ``repro.campaigns`` and the README's
-Campaigns section).
+records, sweep journals, and a live server's fleet metrics (see
+``repro.dashboard`` and the README's Dashboard section).  ``campaign``
+runs YAML-defined experiment grids with journaled crash-safe resume (see
+``repro.campaigns`` and the README's Campaigns section).
 
 Each experiment prints the same rows/series the corresponding paper figure
 shows (see EXPERIMENTS.md for the paper-vs-measured comparison).
@@ -74,13 +73,6 @@ from .runtime.records import (
 )
 from .runtime.runner import ExperimentOutcome, FailureReport, sweep_experiments
 from .runtime.telemetry import metrics, telemetry
-
-from .bench import (
-    BENCH_PRESETS,
-    format_bench_result,
-    run_bench,
-    write_bench_result,
-)
 
 from .campaigns.cli import add_campaign_arguments, run_campaign_command
 from .dashboard.cli import add_dashboard_arguments, run_dashboard
@@ -163,19 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--campaign", action="store_true", dest="campaign_only",
                        help="with --list: only campaign records "
                        "(kind=campaign)")
-
-    bench = subparsers.add_parser(
-        "bench", help="run the performance benchmark suite"
-    )
-    bench.add_argument(
-        "--preset", default="small", choices=sorted(BENCH_PRESETS),
-        help="benchmark workload size (medium is the canonical preset)",
-    )
-    bench.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="result JSON path (default BENCH_<UTC-date>.json in the "
-        "current directory)",
-    )
 
     add_campaign_arguments(subparsers)
     add_serve_arguments(subparsers)
@@ -357,13 +336,6 @@ def main(argv: "list[str] | None" = None) -> int:
         width = max(len(key) for key in EXPERIMENTS)
         for key, (description, _) in EXPERIMENTS.items():
             print(f"{key:<{width}}  {description}")
-        return 0
-
-    if args.command == "bench":
-        result = run_bench(args.preset)
-        path = write_bench_result(result, args.output)
-        print(format_bench_result(result))
-        log.info("benchmark result written to %s", path)
         return 0
 
     if args.command == "publish":

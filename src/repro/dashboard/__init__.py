@@ -1,17 +1,15 @@
 """Repro dashboard: a read-only control plane over emitted artifacts.
 
-Six PRs of pipeline and serving work emit schema-versioned artifacts —
-run records under ``runs/``, ``BENCH_*.json`` perf results, sweep
-journals, and a live server's fleet-merged ``GET /metrics`` — but until
-now a human had to excavate them from JSON by hand.  ``repro dashboard``
-fronts them with a small stdlib HTTP app (the same
-``ThreadingHTTPServer`` style as :mod:`repro.serve.http`, zero new
-dependencies):
+The pipeline and serving stacks emit schema-versioned artifacts — run
+records under ``runs/``, sweep journals, and a live server's
+fleet-merged ``GET /metrics`` — that would otherwise have to be read
+from JSON by hand.  ``repro dashboard`` fronts them with a small stdlib
+HTTP app (the same ``ThreadingHTTPServer`` style as
+:mod:`repro.serve.http`, zero new dependencies):
 
 ``repro.dashboard.data``
-    Pure read-side indexing: the runs directory, bench trajectories
-    across ``BENCH_*.json`` files (v3 and v4), bench-vs-bench diffs,
-    sweep-journal tailing, and the fleet ``/metrics`` proxy.
+    Pure read-side indexing: the runs directory, campaign cell
+    matrices, sweep-journal tailing, and the fleet ``/metrics`` proxy.
 ``repro.dashboard.server``
     The HTTP app: ``GET /`` (a tiny self-refreshing HTML page) plus the
     ``/api/*`` JSON endpoints the page — or ``curl`` — consumes.

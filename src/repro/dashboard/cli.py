@@ -8,9 +8,9 @@ dispatches here, keeping the experiment CLI readable.
 from __future__ import annotations
 
 import argparse
-import signal
 
 from ..runtime.logging import get_logger
+from ..runtime.sweep import signals_raise_interrupt
 from .server import build_dashboard_server
 
 _log = get_logger("dashboard.cli")
@@ -20,8 +20,8 @@ def add_dashboard_arguments(subparsers) -> None:
     """Register the ``dashboard`` subparser."""
     dashboard = subparsers.add_parser(
         "dashboard",
-        help="serve a read-only web view of run records, bench "
-        "trajectories, sweep journals, and live fleet metrics",
+        help="serve a read-only web view of run records, campaigns, "
+        "sweep journals, and live fleet metrics",
     )
     dashboard.add_argument("--host", default="127.0.0.1")
     dashboard.add_argument("--port", type=int, default=8078,
@@ -30,9 +30,6 @@ def add_dashboard_arguments(subparsers) -> None:
     dashboard.add_argument("--runs-dir", metavar="DIR", default=None,
                            help="run-record directory "
                            "(default runs/, or REPRO_RUNS_DIR)")
-    dashboard.add_argument("--bench-dir", metavar="DIR", default=None,
-                           help="directory scanned for BENCH_*.json "
-                           "(default: current directory)")
     dashboard.add_argument("--journal", metavar="PATH", default=None,
                            help="sweep journal to tail at /api/journal "
                            "(default: <runs-dir>/sweep-journal.jsonl)")
@@ -52,24 +49,14 @@ def run_dashboard(args: argparse.Namespace, log) -> int:
         host=args.host,
         port=args.port,
         runs_dir=args.runs_dir,
-        bench_dir=args.bench_dir,
         journal_path=journal,
         server_url=args.server_url,
     )
-
-    def _interrupt(signum: int, frame) -> None:
-        raise KeyboardInterrupt
-
-    try:
-        signal.signal(signal.SIGTERM, _interrupt)
-    except ValueError:  # pragma: no cover - non-main thread
-        pass
-    with server:
+    with signals_raise_interrupt(), server:
         index = server.data.index()
         log.info(
-            "dashboard sees %d run records in %s, %d bench files in %s",
+            "dashboard sees %d run records in %s",
             index["run_count"], index["runs_dir"],
-            len(index["bench_files"]), index["bench_dir"],
         )
         print(f"dashboard at {server.url}", flush=True)
         try:

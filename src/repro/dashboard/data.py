@@ -1,8 +1,7 @@
 """Read-side data access for the dashboard.
 
 Everything here is a pure read over artifacts other subsystems already
-emit — run records (:mod:`repro.runtime.records`), ``BENCH_*.json``
-results (:mod:`repro.bench`), sweep journals
+emit — run records (:mod:`repro.runtime.records`), sweep journals
 (:mod:`repro.runtime.journal`), and a live server's ``GET /metrics``.
 The dashboard never writes anything, so pointing it at a runs directory
 mid-sweep is always safe.
@@ -16,29 +15,16 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from ..bench import load_bench_result
 from ..runtime.logging import get_logger
 from ..runtime.records import default_runs_dir, list_run_records
 
 _log = get_logger("dashboard")
 
-#: Stages charted on the bench trajectory; the rest remain available via
-#: the per-file detail in the diff endpoint.
-TRAJECTORY_STAGES = (
-    "simulator.sequence",
-    "process.drai_sequence",
-    "sample.end_to_end",
-    "train.epoch",
-    "serve.engine",
-    "serve.fleet",
-)
-
 
 class DashboardData:
     """Indexes the artifact directories the dashboard serves.
 
-    ``runs_dir`` holds run records, ``bench_dir`` the ``BENCH_*.json``
-    files (the repo root, normally), ``journal_path`` an optional sweep
+    ``runs_dir`` holds run records, ``journal_path`` an optional sweep
     journal to tail, and ``server_url`` an optional live inference
     server whose fleet metrics ``/api/fleet`` proxies.
     """
@@ -46,12 +32,10 @@ class DashboardData:
     def __init__(
         self,
         runs_dir: "str | os.PathLike | None" = None,
-        bench_dir: "str | os.PathLike | None" = None,
         journal_path: "str | os.PathLike | None" = None,
         server_url: "str | None" = None,
     ) -> None:
         self.runs_dir = Path(runs_dir) if runs_dir else default_runs_dir()
-        self.bench_dir = Path(bench_dir) if bench_dir else Path(".")
         self.journal_path = Path(journal_path) if journal_path else None
         self.server_url = server_url.rstrip("/") if server_url else None
 
@@ -131,83 +115,6 @@ class DashboardData:
         }
         return payload
 
-    # -- bench --------------------------------------------------------
-
-    def bench_files(self) -> "list[Path]":
-        if not self.bench_dir.is_dir():
-            return []
-        return sorted(self.bench_dir.glob("BENCH_*.json"))
-
-    def bench_trajectory(self) -> "dict[str, object]":
-        """One labeled point per loadable ``BENCH_*.json``, oldest first.
-
-        Unloadable files (foreign JSON, refused schema versions) are
-        reported in ``skipped`` instead of failing the whole trajectory —
-        one bad file must not blank the chart.
-        """
-        points: "list[dict]" = []
-        skipped: "list[dict]" = []
-        for path in self.bench_files():
-            try:
-                result = load_bench_result(path)
-            except (OSError, ValueError) as exc:
-                skipped.append({"file": path.name, "error": str(exc)})
-                continue
-            stages = result.get("stages") or {}
-            points.append({
-                "file": path.name,
-                "schema_version": result.get("schema_version"),
-                "meta": result.get("meta"),
-                "generated_utc": result.get("generated_utc"),
-                "samples_per_s": (result.get("throughput") or {}).get(
-                    "samples_per_s"
-                ),
-                "speedup": result.get("speedup"),
-                "fleet_scaling": (result.get("fleet") or {}).get("scaling"),
-                "stages_min_s": {
-                    name: stages[name]["min_s"]
-                    for name in TRAJECTORY_STAGES
-                    if name in stages
-                },
-            })
-        return {"points": points, "skipped": skipped}
-
-    def bench_diff(self, file_a: str, file_b: str) -> "dict[str, object]":
-        """Per-stage ``min_s`` comparison of two bench files (b vs a).
-
-        ``ratio`` > 1 means b is slower; both files must live in the
-        bench dir (same bare-filename rule as :meth:`run_detail`).
-        Raises ``ValueError`` for missing or unloadable files.
-        """
-        results = []
-        for filename in (file_a, file_b):
-            if os.sep in filename or "/" in filename:
-                raise ValueError(f"bench diff takes bare filenames, got {filename!r}")
-            path = self.bench_dir / filename
-            if not path.is_file():
-                raise ValueError(f"no such bench file: {filename}")
-            results.append(load_bench_result(path))
-        a, b = results
-        stages_a = a.get("stages") or {}
-        stages_b = b.get("stages") or {}
-        stages: "dict[str, dict]" = {}
-        for name in sorted(set(stages_a) & set(stages_b)):
-            min_a = stages_a[name]["min_s"]
-            min_b = stages_b[name]["min_s"]
-            stages[name] = {
-                "a_min_s": min_a,
-                "b_min_s": min_b,
-                "delta_s": min_b - min_a,
-                "ratio": (min_b / min_a) if min_a else None,
-            }
-        return {
-            "a": {"file": file_a, "meta": a.get("meta")},
-            "b": {"file": file_b, "meta": b.get("meta")},
-            "stages": stages,
-            "only_in_a": sorted(set(stages_a) - set(stages_b)),
-            "only_in_b": sorted(set(stages_b) - set(stages_a)),
-        }
-
     # -- journal ------------------------------------------------------
 
     def journal_tail(self, offset: int = 0) -> "dict[str, object]":
@@ -277,8 +184,6 @@ class DashboardData:
             "latest_run": runs[-1] if runs else None,
             "campaign_count": len(campaigns),
             "latest_campaign": campaigns[-1] if campaigns else None,
-            "bench_dir": str(self.bench_dir),
-            "bench_files": [path.name for path in self.bench_files()],
             "journal_path": (
                 str(self.journal_path) if self.journal_path else None
             ),

@@ -5,7 +5,7 @@ read-only and artifact-facing:
 
 ``GET /``
     A dependency-free HTML page that polls the JSON endpoints below and
-    renders the run table, bench trajectory, and fleet metrics inline.
+    renders the run and campaign tables and fleet metrics inline.
 ``GET /api/index``
     What this dashboard can see (directories, file counts, latest run).
 ``GET /api/runs?name=GLOB&status=S&last=N``
@@ -16,11 +16,6 @@ read-only and artifact-facing:
     Campaign-record listing (``repro campaign list``'s view).
 ``GET /api/campaigns/<file>``
     One campaign record plus a derived experiment x seed cell matrix.
-``GET /api/bench/trajectory``
-    One labeled point per ``BENCH_*.json`` — stage minima, throughput,
-    speedups, fleet scaling — for charting perf over time.
-``GET /api/bench/diff?a=<file>&b=<file>``
-    Per-stage min_s delta/ratio between two bench files.
 ``GET /api/journal?offset=N``
     Sweep-journal tail from line N; clients poll with ``next_offset``.
 ``GET /api/fleet``
@@ -62,14 +57,12 @@ _INDEX_HTML = """<!doctype html>
 <div id="index"></div>
 <h2>runs</h2><div id="runs">loading...</div>
 <h2>campaigns</h2><div id="campaigns">loading...</div>
-<h2>bench trajectory</h2><div id="bench">loading...</div>
 <h2>fleet</h2><div id="fleet">loading...</div>
 <script>
 async function fetchJson(url) {
   const response = await fetch(url);
   return { status: response.status, body: await response.json() };
 }
-function cell(value) { return value === null || value === undefined ? "-" : value; }
 async function refresh() {
   const index = await fetchJson("/api/index");
   document.getElementById("index").innerHTML =
@@ -91,16 +84,6 @@ async function refresh() {
     ? "<table><tr><th>timestamp</th><th>campaign</th><th>status</th>" +
       "<th>git</th><th>file</th></tr>" + campaignRows + "</table>"
     : "<p>no campaign records</p>";
-  const bench = await fetchJson("/api/bench/trajectory");
-  const points = bench.body.points.map(p =>
-    `<tr><td>${p.file}</td><td>${cell(p.meta && p.meta.git_sha)}</td>` +
-    `<td>${cell(p.meta && p.meta.preset)}</td>` +
-    `<td>${cell(p.samples_per_s && p.samples_per_s.toFixed(3))}</td>` +
-    `<td>${cell(p.fleet_scaling && p.fleet_scaling.toFixed(2))}</td></tr>`
-  ).join("");
-  document.getElementById("bench").innerHTML =
-    "<table><tr><th>file</th><th>git</th><th>preset</th>" +
-    "<th>samples/s</th><th>fleet scaling</th></tr>" + points + "</table>";
   const fleet = await fetchJson("/api/fleet");
   document.getElementById("fleet").innerHTML = fleet.status === 200
     ? "<pre>" + JSON.stringify(fleet.body.metrics, null, 2) + "</pre>"
@@ -216,14 +199,6 @@ class _Handler(BaseHTTPRequestHandler):
                 })
             else:
                 self._send_json(200, detail)
-        elif path == "/api/bench/trajectory":
-            self._send_json(200, data.bench_trajectory())
-        elif path == "/api/bench/diff":
-            file_a = _single(query, "a")
-            file_b = _single(query, "b")
-            if not file_a or not file_b:
-                raise ValueError("bench diff requires ?a=<file>&b=<file>")
-            self._send_json(200, data.bench_diff(file_a, file_b))
         elif path == "/api/journal":
             offset = _int_param(query, "offset") or 0
             self._send_json(200, data.journal_tail(offset))
@@ -257,14 +232,12 @@ def build_dashboard_server(
     host: str = "127.0.0.1",
     port: int = 8078,
     runs_dir=None,
-    bench_dir=None,
     journal_path=None,
     server_url: "str | None" = None,
 ) -> DashboardServer:
     """Directories -> ready-to-serve dashboard (call ``serve_forever``)."""
     data = DashboardData(
         runs_dir=runs_dir,
-        bench_dir=bench_dir,
         journal_path=journal_path,
         server_url=server_url,
     )

@@ -6,7 +6,7 @@ experiment takes a preset:
 * ``PAPER`` — the paper's full protocol (8640 samples, 30 repetitions);
   documented for reference, not run by default on a laptop.
 * ``DEFAULT`` — the scale EXPERIMENTS.md numbers are produced at.
-* ``FAST`` — minutes-scale; used by the benchmark suite and CI.
+* ``FAST`` — minutes-scale; used by ``benchmarks/``, perfbench and CI.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ PAPER = ExperimentPreset(
 DEFAULT = ExperimentPreset(name="default")
 
 #: Minutes scale for benchmarks and CI: 16 frames, one participant, a
-#: 3 x 3-position grid — small enough to train in under a minute while
-#: still reaching ~90% clean accuracy.
+#: 3 x 3-position grid — small enough to train in under a minute.
+#: ``repro run fig7 --preset fast --no-cache`` at seed 0 measures 71.43%
+#: clean accuracy; the band across seeds is ROADMAP item 3's to state.
 FAST = ExperimentPreset(
     name="fast",
     num_frames=16,

@@ -445,7 +445,7 @@ class FmcwRadarSimulator:
         """The pinned per-frame path: one facet_set + frame cube per frame.
 
         Kept as the equivalence oracle for the batched fast path and the
-        baseline the benchmark suite reports speedups against.
+        baseline its speedup test times it against.
         """
         return self.simulate_sequence(
             meshes,

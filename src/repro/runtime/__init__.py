@@ -41,7 +41,7 @@ from .records import (
     write_run_record,
 )
 from .runner import ExperimentOutcome, FailureReport, sweep_experiments
-from .sweep import SweepOutcome, SweepReport, run_sweep
+from .sweep import SweepOutcome, SweepReport, run_sweep, signals_raise_interrupt
 from .telemetry import (
     Counter,
     Gauge,
@@ -94,6 +94,7 @@ __all__ = [
     "retry_call",
     "run_sweep",
     "run_tasks",
+    "signals_raise_interrupt",
     "span",
     "sweep_experiments",
     "telemetry",

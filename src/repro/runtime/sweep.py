@@ -67,16 +67,17 @@ class SweepReport:
 
 
 @contextmanager
-def _signals_raise_interrupt() -> Iterator[None]:
+def signals_raise_interrupt() -> Iterator[None]:
     """SIGINT/SIGTERM -> ``KeyboardInterrupt`` while the block runs.
 
-    Lets a sweep unwind through its journal instead of dying mid-write;
-    the previous handlers are restored on exit.  No-op outside the main
-    thread.
+    The one stop path of every long-running verb: a sweep unwinds
+    through its journal instead of dying mid-write, and ``serve`` and
+    ``dashboard`` leave ``serve_forever`` and drain.  The previous
+    handlers are restored on exit.  No-op outside the main thread.
     """
 
     def _handler(signum: int, frame) -> None:
-        _log.warning("signal %d received; flushing journal and stopping", signum)
+        _log.warning("signal %d received; stopping", signum)
         raise KeyboardInterrupt
 
     previous = {}
@@ -152,7 +153,7 @@ def run_sweep(
         wave = len(pending) if max_failures is None else 2 * pool_config.workers
         dispatched = 0
         try:
-            with _signals_raise_interrupt(), WorkerPool(pool_config) as pool:
+            with signals_raise_interrupt(), WorkerPool(pool_config) as pool:
                 while dispatched < len(pending):
                     failures = sum(not outcome.ok for outcome in report.outcomes)
                     if max_failures is not None and failures >= max_failures:

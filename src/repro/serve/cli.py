@@ -21,7 +21,6 @@ that module registers these subparsers and dispatches here.
 from __future__ import annotations
 
 import argparse
-import signal
 import time
 from pathlib import Path
 
@@ -30,6 +29,7 @@ import numpy as np
 from ..runtime.errors import ReproError
 from ..runtime.logging import get_logger
 from ..runtime.records import RunRecord, write_run_record
+from ..runtime.sweep import signals_raise_interrupt
 from .client import fetch_json, run_load
 from .engine import EngineConfig
 from .http import ServerConfig, build_server
@@ -235,16 +235,9 @@ def run_serve(args: argparse.Namespace, log) -> int:
         fleet_config,
     )
 
-    def _interrupt(signum: int, frame) -> None:
-        raise KeyboardInterrupt
-
-    try:
-        signal.signal(signal.SIGTERM, _interrupt)
-    except ValueError:  # pragma: no cover - non-main thread
-        pass
     # The fleet path warms on replica startup (inside server.__enter__);
     # the single-engine path warms here so the first request is not cold.
-    with server:
+    with signals_raise_interrupt(), server:
         if fleet_config is None:
             try:
                 loaded = server.engine.warm("latest")

@@ -1,4 +1,4 @@
-"""Dashboard data layer: runs index, bench trajectory/diff, journal tail."""
+"""Dashboard data layer: runs index, journal tail, fleet proxy."""
 
 from __future__ import annotations
 
@@ -8,49 +8,6 @@ import pytest
 
 from repro.dashboard.data import DashboardData
 from repro.runtime.records import RunRecord, write_run_record
-
-STAGE_NAMES = (
-    "simulator.sequence",
-    "process.drai_sequence",
-    "sample.end_to_end",
-    "train.epoch",
-    "serve.engine",
-    "serve.fleet",
-    "attack.placement_scoring",
-)
-
-
-def bench_payload(sha="abc1234", preset="tiny", base_s=0.5, version=4):
-    """A minimal loadable bench result (not full-schema, loader-valid)."""
-    stages = {
-        name: {
-            "repeats": 2,
-            "min_s": base_s * (index + 1),
-            "mean_s": base_s * (index + 1) * 1.1,
-            "max_s": base_s * (index + 1) * 1.2,
-        }
-        for index, name in enumerate(STAGE_NAMES)
-    }
-    payload = {
-        "schema_version": version,
-        "generated_utc": "2026-08-08T00:00:00+00:00",
-        "preset": {"name": preset, "num_frames": 6},
-        "machine": {"cpu_count": 4},
-        "stages": stages,
-        "throughput": {"samples_per_s": 1.0 / base_s},
-        "speedup": {"simulate": 3.0, "drai": 2.0, "end_to_end": 2.5},
-        "fleet": {"replicas": 3, "scaling": 2.2},
-    }
-    if version >= 4:
-        payload["meta"] = {
-            "git_sha": sha,
-            "date": "2026-08-08",
-            "cpu_count": 4,
-            "hostname": "host",
-            "preset": preset,
-        }
-    return payload
-
 
 def _record(name, timestamp, status="ok"):
     return RunRecord(
@@ -67,31 +24,18 @@ def populated(tmp_path):
     runs_dir.mkdir()
     write_run_record(_record("fig7", "20260101T000000"), runs_dir)
     write_run_record(_record("fig8", "20260102T000000", "failed"), runs_dir)
-    bench_dir = tmp_path / "bench"
-    bench_dir.mkdir()
-    (bench_dir / "BENCH_2026-08-01.json").write_text(
-        json.dumps(bench_payload(sha="old0000", base_s=1.0))
-    )
-    (bench_dir / "BENCH_2026-08-08.json").write_text(
-        json.dumps(bench_payload(sha="new0000", base_s=0.5))
-    )
     journal = tmp_path / "sweep-journal.jsonl"
     journal.write_text(
         json.dumps({"key": "fig7", "status": "done", "attempts": 1}) + "\n"
         + json.dumps({"key": "fig8", "status": "failed", "attempts": 2}) + "\n"
     )
-    return DashboardData(
-        runs_dir=runs_dir, bench_dir=bench_dir, journal_path=journal
-    )
+    return DashboardData(runs_dir=runs_dir, journal_path=journal)
 
 
 def test_index_summarizes_everything(populated):
     index = populated.index()
     assert index["run_count"] == 2
     assert index["latest_run"]["name"] == "fig8"
-    assert index["bench_files"] == [
-        "BENCH_2026-08-01.json", "BENCH_2026-08-08.json",
-    ]
     assert index["server_url"] is None
 
 
@@ -111,60 +55,6 @@ def test_run_detail_and_traversal_rejection(populated):
     assert populated.run_detail("sub/dir.json") is None
     assert populated.run_detail(".hidden.json") is None
     assert populated.run_detail("not-json.txt") is None
-
-
-def test_bench_trajectory_points(populated):
-    trajectory = populated.bench_trajectory()
-    assert trajectory["skipped"] == []
-    points = trajectory["points"]
-    assert [p["meta"]["git_sha"] for p in points] == ["old0000", "new0000"]
-    assert points[0]["stages_min_s"]["simulator.sequence"] == 1.0
-    assert points[1]["samples_per_s"] == pytest.approx(2.0)
-    assert points[1]["fleet_scaling"] == pytest.approx(2.2)
-    # Only the charted stages are projected into the point.
-    assert "attack.placement_scoring" not in points[0]["stages_min_s"]
-
-
-def test_bench_trajectory_tolerates_bad_files(populated):
-    (populated.bench_dir / "BENCH_broken.json").write_text("{not json")
-    (populated.bench_dir / "BENCH_old.json").write_text(
-        json.dumps({"schema_version": 1})
-    )
-    trajectory = populated.bench_trajectory()
-    assert len(trajectory["points"]) == 2
-    assert {entry["file"] for entry in trajectory["skipped"]} == {
-        "BENCH_broken.json", "BENCH_old.json",
-    }
-
-
-def test_bench_trajectory_loads_v3_files(populated):
-    (populated.bench_dir / "BENCH_2026-07-01.json").write_text(
-        json.dumps(bench_payload(base_s=2.0, version=3))
-    )
-    points = populated.bench_trajectory()["points"]
-    legacy = [p for p in points if p["file"] == "BENCH_2026-07-01.json"][0]
-    assert legacy["meta"]["git_sha"] == "unknown"
-    assert legacy["meta"]["preset"] == "tiny"
-
-
-def test_bench_diff(populated):
-    diff = populated.bench_diff(
-        "BENCH_2026-08-01.json", "BENCH_2026-08-08.json"
-    )
-    assert diff["a"]["meta"]["git_sha"] == "old0000"
-    assert diff["b"]["meta"]["git_sha"] == "new0000"
-    entry = diff["stages"]["simulator.sequence"]
-    assert entry["a_min_s"] == 1.0 and entry["b_min_s"] == 0.5
-    assert entry["delta_s"] == pytest.approx(-0.5)
-    assert entry["ratio"] == pytest.approx(0.5)
-    assert diff["only_in_a"] == [] and diff["only_in_b"] == []
-
-
-def test_bench_diff_rejects_bad_filenames(populated):
-    with pytest.raises(ValueError, match="no such bench file"):
-        populated.bench_diff("BENCH_2026-08-01.json", "BENCH_missing.json")
-    with pytest.raises(ValueError, match="bare filenames"):
-        populated.bench_diff("../BENCH_2026-08-01.json", "BENCH_2026-08-08.json")
 
 
 def test_journal_tail_and_offsets(populated):

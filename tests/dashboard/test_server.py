@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,8 +18,6 @@ import pytest
 
 from repro.dashboard.server import build_dashboard_server
 from repro.runtime.records import RunRecord, write_run_record
-
-from .test_data import bench_payload
 
 
 def _get(url, path):
@@ -33,18 +37,10 @@ def dashboard(tmp_path):
                   outcome={"status": "ok"}),
         runs_dir,
     )
-    bench_dir = tmp_path / "bench"
-    bench_dir.mkdir()
-    (bench_dir / "BENCH_a.json").write_text(
-        json.dumps(bench_payload(sha="aaa", base_s=1.0))
-    )
-    (bench_dir / "BENCH_b.json").write_text(
-        json.dumps(bench_payload(sha="bbb", base_s=0.5))
-    )
     journal = tmp_path / "journal.jsonl"
     journal.write_text(json.dumps({"key": "fig7", "status": "done"}) + "\n")
     server = build_dashboard_server(
-        port=0, runs_dir=runs_dir, bench_dir=bench_dir, journal_path=journal
+        port=0, runs_dir=runs_dir, journal_path=journal
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -67,7 +63,6 @@ def test_api_index(dashboard):
     status, body = _get(dashboard.url, "/api/index")
     assert status == 200
     assert body["run_count"] == 1
-    assert body["bench_files"] == ["BENCH_a.json", "BENCH_b.json"]
 
 
 def test_api_runs_listing_and_detail(dashboard):
@@ -87,26 +82,6 @@ def test_api_runs_rejects_bad_query(dashboard):
     assert status == 400
     assert body["error"]["type"] == "ValidationError"
     status, body = _get(dashboard.url, "/api/runs?last=-1")
-    assert status == 400
-
-
-def test_api_bench_trajectory(dashboard):
-    status, body = _get(dashboard.url, "/api/bench/trajectory")
-    assert status == 200
-    assert [p["meta"]["git_sha"] for p in body["points"]] == ["aaa", "bbb"]
-
-
-def test_api_bench_diff(dashboard):
-    status, body = _get(
-        dashboard.url, "/api/bench/diff?a=BENCH_a.json&b=BENCH_b.json"
-    )
-    assert status == 200
-    assert body["stages"]["train.epoch"]["ratio"] == pytest.approx(0.5)
-    status, body = _get(dashboard.url, "/api/bench/diff?a=BENCH_a.json")
-    assert status == 400
-    status, body = _get(
-        dashboard.url, "/api/bench/diff?a=BENCH_a.json&b=missing.json"
-    )
     assert status == 400
 
 
@@ -153,7 +128,6 @@ def test_api_fleet_proxies_live_metrics(tmp_path):
     server = build_dashboard_server(
         port=0,
         runs_dir=tmp_path,
-        bench_dir=tmp_path,
         server_url=f"http://127.0.0.1:{stub.server_address[1]}",
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -177,8 +151,39 @@ def test_cli_registers_dashboard_verb():
     parser = build_parser()
     args = parser.parse_args([
         "dashboard", "--port", "0", "--runs-dir", "runs",
-        "--bench-dir", ".", "--server-url", "http://127.0.0.1:8077",
+        "--server-url", "http://127.0.0.1:8077",
     ])
     assert args.command == "dashboard"
     assert args.port == 0
     assert args.server_url == "http://127.0.0.1:8077"
+
+
+def test_dashboard_cli_subprocess_exits_cleanly_on_sigterm(tmp_path):
+    """`repro dashboard` as a real process: prints its URL, answers
+    requests, exits 0 on SIGTERM."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "dashboard",
+         "--runs-dir", str(tmp_path), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        line = ""
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            line = process.stdout.readline()
+            if "dashboard at" in line:
+                break
+        assert "dashboard at" in line, line
+        url = line.strip().rsplit(" at ", 1)[1]
+        status, body = _get(url, "/api/index")
+        assert status == 200
+        assert body["run_count"] == 0
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()

@@ -5,11 +5,18 @@ to differ from the per-frame reference only by single-precision rounding.
 These tests pin that contract with tight tolerances and explicit output
 dtype assertions, so a future "optimization" that changes the science
 fails here rather than silently shifting every generated dataset.
+
+The last test is the speed half of the contract: on a real generator
+scene each batched path must time as a finite, positive ratio against
+its reference twin.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.datasets.generation import GenerationConfig, SampleGenerator
 from repro.geometry.human import HumanModel, TrajectoryStyle, hand_trajectory
 from repro.geometry.primitives import uv_sphere
 from repro.radar.heatmap import (
@@ -28,6 +35,7 @@ from repro.radar.processing import (
     range_fft_sequence,
 )
 from repro.radar.simulator import FmcwRadarSimulator
+from repro.runtime.telemetry import telemetry
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +176,60 @@ class TestHeatmapChain:
         assert np.isfinite(batched).all()
         assert (batched >= 0.0).all()
         assert _relative_error(batched, reference) < 1e-5
+
+
+def test_batched_speedup_over_reference_is_positive():
+    """Simulate, DRAI and simulate->DRAI, batched vs reference, best of 2.
+
+    The ratios depend on the machine, so only their sign is gated; run
+    with ``-s`` to read them.
+    """
+    config = GenerationConfig(num_frames=6)
+    generator = SampleGenerator(config, seed=0)
+    simulator = generator.simulator
+    extras = generator._environment_facets or None
+    meshes = generator.sample_meshes("push", 1.0, 0.0)
+    cubes = simulator.simulate_sequence(meshes, extra_facets=extras)
+    pairs = {
+        "simulate": (
+            lambda: simulator.simulate_sequence(meshes, extra_facets=extras),
+            lambda: simulator.simulate_sequence_reference(
+                meshes, extra_facets=extras
+            ),
+        ),
+        "drai": (
+            lambda: drai_sequence(cubes, config.heatmap),
+            lambda: drai_sequence_reference(cubes, config.heatmap),
+        ),
+        "end_to_end": (
+            lambda: drai_sequence(
+                simulator.simulate_sequence(meshes, extra_facets=extras),
+                config.heatmap,
+            ),
+            lambda: drai_sequence_reference(
+                simulator.simulate_sequence_reference(
+                    meshes, extra_facets=extras
+                ),
+                config.heatmap,
+            ),
+        ),
+    }
+    speedups = {}
+    for stage, paths in pairs.items():
+        best = []
+        for path, run in zip(("batched", "reference"), paths):
+            durations = []
+            for _ in range(2):
+                with telemetry().span(
+                    f"speedup.{stage}.{path}", force=True
+                ) as timer:
+                    run()
+                durations.append(timer.duration_s)
+            best.append(min(durations))
+        speedups[stage] = best[1] / best[0]
+    print(
+        "batched speedup vs per-frame reference: "
+        + ", ".join(f"{stage} {ratio:.2f}x" for stage, ratio in speedups.items())
+    )
+    for stage, ratio in speedups.items():
+        assert math.isfinite(ratio) and ratio > 0.0, (stage, ratio)
