@@ -5,8 +5,9 @@ experiment takes a preset:
 
 * ``PAPER`` — the paper's full protocol (8640 samples, 30 repetitions);
   documented for reference, not run by default on a laptop.
-* ``DEFAULT`` — the scale EXPERIMENTS.md numbers are produced at.
-* ``FAST`` — minutes-scale; used by ``benchmarks/``, perfbench and CI.
+* ``DEFAULT`` — laptop scale (``--preset default``).
+* ``FAST`` — minutes-scale; used by ``benchmarks/``, perfbench and CI,
+  and the scale of the EXPERIMENTS.md numbers.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ PAPER = ExperimentPreset(
     poisoned_frame_counts=(1, 2, 4, 8, 16, 32),
 )
 
-#: Laptop scale used to produce the EXPERIMENTS.md numbers.
+#: Laptop scale; EXPERIMENTS.md reports FAST-preset runs, not this one.
 DEFAULT = ExperimentPreset(name="default")
 
 #: Minutes scale for benchmarks and CI: 16 frames, one participant, a

@@ -413,6 +413,12 @@ class FmcwRadarSimulator:
         pose sequences — the batched fast path runs the whole sequence
         through one stacked geometry/phase pass; otherwise (or with
         ``batched=False``) it falls back to per-frame synthesis.
+
+        Where the batched path pays, measured on a 2-vCPU Xeon VM (median
+        of 7 alternating reps, six sequences of 216-face meshes with the
+        environment facets, after a warm-up call): 0.062 s against 0.089 s
+        per-frame at the FAST preset's 16 frames (x1.44), and 0.033 s
+        against 0.051 s at the 6 frames of the tier-1 speedup test (x1.56).
         """
         if not meshes:
             raise ValueError("empty mesh sequence")

@@ -26,7 +26,7 @@ import numpy as np
 from ..runtime.logging import get_logger
 from ..runtime.telemetry import metrics
 from .client import run_load
-from .fleet import ReplicaFleet, ReplicaState
+from .fleet import ReplicaFleet, ReplicaState, poll_until
 
 __all__ = ["ChaosPlan", "run_chaos", "assert_recovery"]
 
@@ -132,22 +132,15 @@ def run_chaos(
     # A killed/hung replica must actually come back, not just leave the
     # survivors READY: wait for the slot to hold a live, READY process.
     respawned = None
-    pid_after = pid_before
     if plan.fault in ("kill", "hang"):
-        deadline = time.monotonic() + plan.recovery_timeout_s
-        respawned = False
-        while time.monotonic() < deadline:
-            states = fleet.replica_states()
-            slot_state = states[plan.target_slot]
-            pid_after = slot_state["pid"]
-            if (
-                slot_state["state"] == ReplicaState.READY
-                and pid_after is not None
-                and pid_after != pid_before
-            ):
-                respawned = True
-                break
-            time.sleep(0.05)
+        def back() -> bool:
+            state = fleet.replica_states()[plan.target_slot]
+            return state["state"] == ReplicaState.READY and state["pid"] not in (
+                None, pid_before,
+            )
+
+        respawned = poll_until(back, plan.recovery_timeout_s)
+    pid_after = fleet.replica_pid(plan.target_slot)
     recovery_wait_s = time.monotonic() - recovery_start
 
     post = None

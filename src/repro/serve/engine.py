@@ -1,6 +1,7 @@
 """Dynamic micro-batching inference engine.
 
-Concurrent callers block in :meth:`InferenceEngine.submit`; a single
+:meth:`InferenceEngine.enqueue` admits a request and calls its ``on_done``
+back once; :meth:`InferenceEngine.submit` is enqueue-then-wait.  A single
 worker thread drains the shared admission queue, coalescing up to
 ``max_batch`` same-model requests (waiting at most ``max_delay_ms`` for
 stragglers) into one stacked forward pass, then fans the per-sequence
@@ -31,6 +32,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -146,36 +148,32 @@ class Prediction:
         }
 
 
-class _Pending:
-    """One in-flight request parked on the admission queue."""
+@dataclass
+class Waiter:
+    """An ``on_done`` callback that a blocking caller waits on."""
 
-    __slots__ = (
-        "sequence", "model_id", "screen", "enqueued_ns", "deadline_ns",
-        "event", "result", "error", "request_id",
-    )
+    event: threading.Event = field(default_factory=threading.Event)
+    result: "Prediction | None" = None
+    error: "Exception | None" = None
 
-    def __init__(
-        self,
-        sequence: np.ndarray,
-        model_id: str,
-        screen: bool,
-        deadline_ns: "int | None",
-        request_id: "str | None" = None,
-    ):
-        self.sequence = sequence
-        self.model_id = model_id
-        self.screen = screen
-        self.enqueued_ns = time.perf_counter_ns()
-        self.deadline_ns = deadline_ns
-        self.request_id = request_id
-        self.event = threading.Event()
-        self.result: "Prediction | None" = None
-        self.error: "Exception | None" = None
-
-    def finish(self, result: "Prediction | None", error: "Exception | None") -> None:
+    def __call__(self, result: "Prediction | None", error: "Exception | None") -> None:
         self.result = result
         self.error = error
         self.event.set()
+
+
+@dataclass
+class _Pending:
+    """One admitted request parked on the admission queue."""
+
+    sequence: np.ndarray
+    model_id: str
+    screen: bool
+    deadline_ns: "int | None"
+    request_id: "str | None"
+    #: ``on_done(prediction, error)``; exactly one of the two is None.
+    on_done: Callable[["Prediction | None", "Exception | None"], None]
+    enqueued_ns: int = field(default_factory=time.perf_counter_ns)
 
 
 @dataclass
@@ -320,8 +318,38 @@ class InferenceEngine:
         for an unknown ref, :class:`OverloadError` when the queue is full,
         and :class:`DeadlineExceededError` when ``deadline_s`` elapses.
         """
-        if not self._running:
-            raise ServeError("engine is not running")
+        waiter = Waiter()
+        self.enqueue(
+            sequence, model, screen, deadline_s, request_id, on_done=waiter
+        )
+        timeout_s = deadline_s or self.config.default_timeout_s
+        if not waiter.event.wait(timeout_s):
+            metrics().counter("serve.deadline_exceeded_total").inc()
+            raise DeadlineExceededError(
+                f"no result within {timeout_s * 1e3:.0f} ms"
+            )
+        if waiter.error is not None:
+            raise waiter.error
+        return waiter.result
+
+    def enqueue(
+        self,
+        sequence: np.ndarray,
+        model: str = "latest",
+        screen: "bool | None" = None,
+        deadline_s: "float | None" = None,
+        request_id: "str | None" = None,
+        *,
+        on_done: Callable[["Prediction | None", "Exception | None"], None],
+    ) -> None:
+        """Admit one request; raise as :meth:`submit` does if refused.
+
+        An admitted request, even one admitted before :meth:`stop`, gets
+        exactly one ``on_done(prediction, error)`` call from the worker:
+        the error is a :class:`DeadlineExceededError` when ``deadline_s``
+        elapsed in the queue, or whatever its batch raised.  ``on_done``
+        runs on the worker thread, so it must return quickly and not raise.
+        """
         metrics().counter("serve.requests_total").inc()
         model_id = self.registry.resolve(model)
         loaded = self._cache.get(model_id)
@@ -336,16 +364,18 @@ class InferenceEngine:
         if screen is None:
             screen = self.config.screen_by_default
         deadline_ns = None
-        timeout_s = self.config.default_timeout_s
         if deadline_s is not None:
             if deadline_s <= 0.0:
                 raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-            timeout_s = deadline_s
             deadline_ns = time.perf_counter_ns() + int(deadline_s * 1e9)
         pending = _Pending(
-            sequence, model_id, bool(screen), deadline_ns, request_id
+            sequence, model_id, bool(screen), deadline_ns, request_id, on_done
         )
         with self._wakeup:
+            # Checked under the lock the worker exits under, so a request
+            # is either refused here or reaches the worker: never stranded.
+            if not self._running:
+                raise ServeError("engine is not running")
             if len(self._queue) >= self.config.queue_capacity:
                 metrics().counter("serve.load_shed_total").inc()
                 raise OverloadError(
@@ -355,15 +385,6 @@ class InferenceEngine:
             self._queue.append(pending)
             metrics().gauge("serve.queue_depth").set(len(self._queue))
             self._wakeup.notify_all()
-        if not pending.event.wait(timeout_s):
-            metrics().counter("serve.deadline_exceeded_total").inc()
-            raise DeadlineExceededError(
-                f"no result within {timeout_s * 1e3:.0f} ms"
-            )
-        if pending.error is not None:
-            raise pending.error
-        assert pending.result is not None
-        return pending.result
 
     # ------------------------------------------------------------------
     # Worker
@@ -406,10 +427,7 @@ class InferenceEngine:
         while True:
             batch = self._collect_batch()
             if not batch:
-                with self._wakeup:
-                    if not self._running and not self._queue:
-                        return
-                continue
+                return  # stopped, and nothing admitted is left
             self._run_batch(batch)
 
     def _run_batch(self, batch: "list[_Pending]") -> None:
@@ -418,7 +436,7 @@ class InferenceEngine:
         for pending in batch:
             if pending.deadline_ns is not None and now_ns >= pending.deadline_ns:
                 metrics().counter("serve.deadline_exceeded_total").inc()
-                pending.finish(None, DeadlineExceededError(
+                pending.on_done(None, DeadlineExceededError(
                     "deadline elapsed while queued"
                 ))
             else:
@@ -444,7 +462,7 @@ class InferenceEngine:
             metrics().counter("serve.batch_failures").inc()
             _log.error("batch of %d failed: %r", len(live), exc)
             for pending in live:
-                pending.finish(None, exc)
+                pending.on_done(None, exc)
             return
         done_ns = time.perf_counter_ns()
         latency_histogram = metrics().histogram(
@@ -477,7 +495,7 @@ class InferenceEngine:
                 model=loaded.model_id,
                 batch_size=len(live),
             )
-            pending.finish(
+            pending.on_done(
                 Prediction(
                     model_id=loaded.model_id,
                     label=label,

@@ -10,6 +10,11 @@ layer fronts either interchangeably.  The fleet adds only its own policy:
 routing, the health state machine, heartbeats, the circuit breaker, hot
 reload, and a per-slot seeded respawn backoff.
 
+One thread of control on each side of the pipe: the parent's supervisor
+thread waits on every replica pipe with ``connection.wait`` (the pool's
+loop shape), and each replica's loop admits predicts with
+:meth:`InferenceEngine.enqueue`, whose ``on_done`` sends the reply.
+
 Per-replica health is an explicit state machine::
 
     STARTING ──started──▶ READY ◀──recovered── DEGRADED
@@ -49,6 +54,7 @@ Telemetry (parent-side): ``fleet.request``/``fleet.reload`` spans,
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import signal
@@ -56,6 +62,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 
 import numpy as np
 
@@ -74,7 +81,13 @@ from ..runtime.errors import (
 from ..runtime.logging import get_logger
 from ..runtime.supervisor import ChildProcess
 from ..runtime.telemetry import MetricsRegistry, metrics, span
-from .engine import SERVE_LATENCY_BUCKETS, EngineConfig, InferenceEngine, Prediction
+from .engine import (
+    SERVE_LATENCY_BUCKETS,
+    EngineConfig,
+    InferenceEngine,
+    Prediction,
+    Waiter,
+)
 from .registry import ModelRegistry
 
 __all__ = [
@@ -147,7 +160,7 @@ class FleetConfig:
     replicas: int = 2
     #: Per-replica engine configuration (each child runs its own engine).
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Heartbeat ping cadence from the monitor thread.
+    #: Heartbeat ping cadence of the supervisor thread.
     heartbeat_interval_s: float = 0.25
     #: Unanswered pings before a READY replica is marked DEGRADED.
     heartbeat_miss_degraded: int = 2
@@ -159,7 +172,7 @@ class FleetConfig:
     ))
     #: Consecutive server-fault failures per model that trip the breaker.
     breaker_failures: int = 5
-    #: How often the monitor re-resolves the reload alias.
+    #: How often the supervisor re-resolves the reload alias.
     reload_poll_s: float = 0.5
 
     def __post_init__(self) -> None:
@@ -186,6 +199,10 @@ def _replica_main(
 ) -> None:
     """Worker loop: one micro-batching engine served over a pipe.
 
+    Predicts are admitted with :meth:`InferenceEngine.enqueue`; the
+    engine worker sends each result, so requests coalesce without a
+    thread each.  A ``slow`` fault parks predicts in a due-time heap.
+
     Messages in: ``("predict", req_id, sequence, model_id, screen,
     deadline_s, request_id)``, ``("ping", seq)``, ``("warm", ref)``,
     ``("fault", kind, arg)`` (chaos injection), ``None`` (stop).
@@ -198,11 +215,8 @@ def _replica_main(
     """
     # Replicas must not inherit the parent's terminal signal handling:
     # drain is coordinated by the supervisor, not per-child signals.
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Under the fork start method the child inherits the parent's global
     # registry state; reset so merged fleet metrics never double-count
     # parent-side observations.
@@ -210,7 +224,6 @@ def _replica_main(
     registry = ModelRegistry(registry_root)
     engine = InferenceEngine(registry, engine_config).start()
     send_lock = threading.Lock()
-    faults = {"slow_ms": 0.0}
 
     def _send(message: tuple) -> None:
         try:
@@ -219,6 +232,31 @@ def _replica_main(
         except (OSError, ValueError):
             pass  # parent gone; the loop's recv will see EOF next
 
+    def _admit(req_id, sequence, model_id, screen, deadline_s, request_id=None):
+        due = None if deadline_s is None else time.monotonic() + deadline_s
+
+        def on_done(prediction, error) -> None:
+            if error is None and due is not None and time.monotonic() > due:
+                # Finished after its deadline: a 504, as a waiting caller
+                # would have seen it.
+                metrics().counter("serve.deadline_exceeded_total").inc()
+                error = DeadlineExceededError(
+                    f"no result within {deadline_s * 1e3:.0f} ms"
+                )
+            if error is None:
+                _send(("result", req_id, True, prediction, None, None))
+            else:
+                _send(("result", req_id, False, None,
+                       type(error).__name__, str(error)))
+
+        try:
+            engine.enqueue(
+                sequence, model_id, screen, deadline_s, request_id,
+                on_done=on_done,
+            )
+        except Exception as exc:  # noqa: BLE001 - process boundary
+            on_done(None, exc)
+
     warmed = None
     try:
         warmed = engine.warm(RELOAD_ALIAS).model_id
@@ -226,40 +264,30 @@ def _replica_main(
         _log.info("replica %d has no warm model yet: %s", slot, exc)
     _send(("started", warmed))
 
-    # Each predict runs in its own thread so concurrent requests coalesce
-    # inside the child's micro-batching engine; the limiter bounds thread
-    # growth well above the router's per-replica in-flight cap.
-    limiter = threading.Semaphore(4 * 64)
-
-    def _predict(
-        req_id, sequence, model_id, screen, deadline_s, request_id=None
-    ) -> None:
-        try:
-            if faults["slow_ms"] > 0.0:
-                time.sleep(faults["slow_ms"] / 1e3)
-            prediction = engine.submit(
-                sequence, model=model_id, screen=screen,
-                deadline_s=deadline_s, request_id=request_id,
-            )
-            _send(("result", req_id, True, prediction, None, None))
-        except BaseException as exc:  # noqa: BLE001 - process boundary
-            _send(("result", req_id, False, None, type(exc).__name__, str(exc)))
-        finally:
-            limiter.release()
-
+    slow_s = 0.0
+    delayed: "list[tuple[float, int, tuple]]" = []  # (due, req_id, args)
     while True:
+        timeout = (
+            max(delayed[0][0] - time.monotonic(), 0.0) if delayed else None
+        )
         try:
-            message = conn.recv()
+            message = conn.recv() if conn.poll(timeout) else ()
         except (EOFError, OSError):
             break
+        while delayed and delayed[0][0] <= time.monotonic():
+            _admit(*heapq.heappop(delayed)[2])
         if message is None:
             break
+        if not message:
+            continue
         kind = message[0]
         if kind == "predict":
-            limiter.acquire()
-            threading.Thread(
-                target=_predict, args=message[1:], daemon=True
-            ).start()
+            if slow_s > 0.0:
+                heapq.heappush(
+                    delayed, (time.monotonic() + slow_s, message[1], message[1:])
+                )
+            else:
+                _admit(*message[1:])
         elif kind == "ping":
             # Piggyback a full metrics snapshot on each pong: this is the
             # only channel worker-side engine histograms have to reach the
@@ -280,7 +308,7 @@ def _replica_main(
             if fault_kind == "hang":
                 time.sleep(float(arg))  # wedge the event loop: miss pings
             elif fault_kind == "slow":
-                faults["slow_ms"] = float(arg)
+                slow_s = float(arg) / 1e3
             elif fault_kind == "crash":
                 os._exit(int(arg))
     engine.stop()
@@ -289,20 +317,14 @@ def _replica_main(
 # ----------------------------------------------------------------------
 # Parent-side bookkeeping
 # ----------------------------------------------------------------------
-class _FleetPending:
-    """One request parked on a replica, awaited by the submitting thread."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.result: "Prediction | None" = None
-        self.error: "Exception | None" = None
-
-    def finish(self, result, error) -> None:
-        self.result = result
-        self.error = error
-        self.event.set()
+def poll_until(predicate, timeout_s: float) -> bool:
+    """Check ``predicate`` every 20 ms until it holds or ``timeout_s`` ends."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)
+    return True
 
 
 def _rebuild_error(name: "str | None", message: "str | None") -> Exception:
@@ -336,25 +358,26 @@ class _Replica:
         self.state = ReplicaState.STARTING
         self.state_since = time.monotonic()
         self.spawned_at = time.monotonic()
-        self.inflight: "dict[int, _FleetPending]" = {}
+        self.inflight: "dict[int, Waiter]" = {}
         self.pings_unanswered = 0
-        self.last_pong = time.monotonic()
         self.window: "deque[tuple[bool, float]]" = deque(maxlen=WINDOW)
         self.warmed_models: "set[str]" = set()
-        self.receiver: "threading.Thread | None" = None
         #: Last metrics snapshot piggybacked on a pong (None until the
         #: first heartbeat round-trips).
         self.metrics_snapshot: "dict | None" = None
 
-    def describe(self, respawns: int) -> dict:
+    def load(self) -> int:
+        """Requests in flight on this replica."""
         with self.lock:
-            inflight = len(self.inflight)
+            return len(self.inflight)
+
+    def describe(self, respawns: int) -> dict:
         return {
             "slot": self.slot,
             "state": self.state,
             "pid": self.child.pid,
             "generation": self.generation,
-            "inflight": inflight,
+            "inflight": self.load(),
             "respawns": respawns,
             "uptime_s": round(time.monotonic() - self.spawned_at, 3),
             "warmed": sorted(self.warmed_models),
@@ -400,11 +423,9 @@ class ReplicaFleet:
         self.registry = registry
         self.config = config or FleetConfig()
         self._slots = [_Slot(index) for index in range(self.config.replicas)]
-        self._lock = threading.Lock()
         self._running = False
         self._draining = False
-        self._monitor: "threading.Thread | None" = None
-        self._wake = threading.Event()
+        self._supervisor: "threading.Thread | None" = None
         self._req_ids = itertools.count(1)
         self._req_lock = threading.Lock()
         self._contracts: "dict[str, tuple[int, tuple[int, ...]]]" = {}
@@ -434,10 +455,10 @@ class ReplicaFleet:
         now = time.monotonic()
         for slot in self._slots:
             self._spawn(slot, now)
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="fleet-monitor", daemon=True
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="fleet-supervisor", daemon=True
         )
-        self._monitor.start()
+        self._supervisor.start()
         if not self.wait_until_ready(1, START_TIMEOUT_S):
             self.stop()
             raise ServeError(f"no replica became READY within {START_TIMEOUT_S}s")
@@ -449,20 +470,9 @@ class ReplicaFleet:
             return
         self.drain()
         self._running = False
-        self._wake.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-            self._monitor = None
-        for slot in self._slots:
-            replica = slot.replica
-            if replica is None:
-                continue
-            self._set_state(replica, ReplicaState.DEAD)
-            replica.child.stop()
-            if replica.receiver is not None:
-                replica.receiver.join(timeout=2.0)
-            slot.replica = None
-        self._update_gauges()
+        if self._supervisor is not None:
+            self._supervisor.join()  # it stops the replicas on its way out
+            self._supervisor = None
 
     def drain(self, timeout_s: "float | None" = None) -> bool:
         """Stop admitting and wait for in-flight requests to flush.
@@ -476,17 +486,13 @@ class ReplicaFleet:
                 ReplicaState.READY, ReplicaState.DEGRADED, ReplicaState.STARTING,
             ):
                 self._set_state(replica, ReplicaState.DRAINING)
-        deadline = time.monotonic() + (
-            DRAIN_TIMEOUT_S if timeout_s is None else timeout_s
+        if poll_until(lambda: self.queue_depth() == 0,
+                 DRAIN_TIMEOUT_S if timeout_s is None else timeout_s):
+            return True
+        _log.warning(
+            "drain timed out with %d requests in flight", self.queue_depth()
         )
-        while time.monotonic() < deadline:
-            if self.queue_depth() == 0:
-                return True
-            time.sleep(0.02)
-        remaining = self.queue_depth()
-        if remaining:
-            _log.warning("drain timed out with %d requests in flight", remaining)
-        return remaining == 0
+        return False
 
     def __enter__(self) -> "ReplicaFleet":
         return self.start()
@@ -498,22 +504,12 @@ class ReplicaFleet:
     # Engine-compatible surface
     # ------------------------------------------------------------------
     def queue_depth(self) -> int:
-        total = 0
-        for slot in self._slots:
-            replica = slot.replica
-            if replica is not None:
-                with replica.lock:
-                    total += len(replica.inflight)
-        return total
+        return sum(replica.load() for replica in self._live_replicas())
 
     def warm(self, ref: str = "latest"):
         """Broadcast a pre-warm of ``ref``; returns the resolved manifest id."""
         model_id = self.registry.resolve(ref)
-        for replica in self._live_replicas():
-            try:
-                replica.child.send(("warm", model_id))
-            except OSError:
-                continue
+        self._broadcast(("warm", model_id))
         return model_id
 
     def replica_states(self) -> "list[dict]":
@@ -534,20 +530,10 @@ class ReplicaFleet:
         ]
 
     def ready_count(self) -> int:
-        return sum(
-            1
-            for slot in self._slots
-            if slot.replica is not None
-            and slot.replica.state == ReplicaState.READY
-        )
+        return sum(r.state == ReplicaState.READY for r in self._live_replicas())
 
     def wait_until_ready(self, count: int, timeout_s: float) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.ready_count() >= count:
-                return True
-            time.sleep(0.02)
-        return self.ready_count() >= count
+        return poll_until(lambda: self.ready_count() >= count, timeout_s)
 
     # ------------------------------------------------------------------
     # Submission
@@ -590,7 +576,7 @@ class ReplicaFleet:
         replica = self._pick_replica()
         with self._req_lock:
             req_id = next(self._req_ids)
-        pending = _FleetPending()
+        pending = Waiter()
         with replica.lock:
             replica.inflight[req_id] = pending
         start = time.monotonic()
@@ -638,34 +624,25 @@ class ReplicaFleet:
     def _live_replicas(self) -> "list[_Replica]":
         return [slot.replica for slot in self._slots if slot.replica is not None]
 
+    def _broadcast(self, message: tuple) -> None:
+        for replica in self._live_replicas():
+            try:
+                replica.child.send(message)
+            except (OSError, ValueError):
+                continue  # a dead replica's EOF reaches the supervisor
+
     def _pick_replica(self) -> "_Replica":
-        candidates = []
-        starting = 0
-        for slot in self._slots:
-            replica = slot.replica
-            if replica is None:
-                continue
-            if replica.state == ReplicaState.STARTING:
-                starting += 1
-                continue
-            if replica.state != ReplicaState.READY:
-                continue
-            with replica.lock:
-                load = len(replica.inflight)
-            candidates.append((load, replica))
-        if not candidates:
-            retry_after = (
-                self.config.heartbeat_interval_s
-                if starting
-                else self.config.respawn.max_delay_s
-            )
+        live = self._live_replicas()
+        ready = [r for r in live if r.state == ReplicaState.READY]
+        if not ready:
+            starting = sum(r.state == ReplicaState.STARTING for r in live)
             raise CircuitOpenError(
-                "no READY replica "
-                f"({starting} starting, {len(self._live_replicas())} live)",
-                retry_after_s=retry_after,
+                f"no READY replica ({starting} starting, {len(live)} live)",
+                retry_after_s=self.config.heartbeat_interval_s
+                if starting else self.config.respawn.max_delay_s,
             )
-        load, replica = min(candidates, key=lambda pair: pair[0])
-        if load >= MAX_INFLIGHT_PER_REPLICA:
+        replica = min(ready, key=_Replica.load)
+        if replica.load() >= MAX_INFLIGHT_PER_REPLICA:
             metrics().counter("fleet.load_shed_total").inc()
             raise OverloadError(
                 f"every READY replica is at its in-flight cap "
@@ -776,87 +753,73 @@ class ReplicaFleet:
             )
             return
         replica = _Replica(slot.index, slot.attempts, child)
-        replica.receiver = threading.Thread(
-            target=self._receive_loop,
-            args=(replica,),
-            name=f"fleet-recv-{slot.index}",
-            daemon=True,
-        )
         slot.replica = replica
-        replica.receiver.start()
-        self._update_gauges()
         _log.info(
             "replica %d spawned pid=%d generation=%d",
             slot.index, child.pid, replica.generation,
         )
 
-    def _receive_loop(self, replica: "_Replica") -> None:
-        """Drain one replica's pipe: results, pongs, warm acks."""
-        while True:
-            try:
-                message = replica.child.conn.recv()
-            except (EOFError, OSError):
-                break
-            kind = message[0]
-            if kind == "result":
-                _, req_id, ok, prediction, error_type, error_msg = message
-                with replica.lock:
-                    pending = replica.inflight.get(req_id)
-                if pending is None:
-                    continue  # caller already timed out and moved on
-                if ok:
-                    pending.finish(prediction, None)
-                else:
-                    pending.finish(None, _rebuild_error(error_type, error_msg))
-            elif kind == "pong":
-                replica.pings_unanswered = 0
-                replica.last_pong = time.monotonic()
-                stats = message[2] if len(message) > 2 else {}
-                snapshot = stats.get("metrics") if isinstance(stats, dict) else None
-                if snapshot is not None:
-                    replica.metrics_snapshot = snapshot
-            elif kind == "started":
-                warmed = message[1]
-                if warmed:
-                    replica.warmed_models.add(warmed)
-                if replica.state == ReplicaState.STARTING:
-                    self._set_state(replica, ReplicaState.READY)
-            elif kind == "warmed":
-                replica.warmed_models.add(message[1])
-            elif kind == "warm_failed":
-                _log.warning(
-                    "replica %d failed to warm %s: %s",
-                    replica.slot, message[1], message[2],
-                )
-        self._fail_inflight(replica)
-
-    def _fail_inflight(self, replica: "_Replica") -> None:
-        with replica.lock:
-            doomed = list(replica.inflight.items())
-            replica.inflight.clear()
-        for _, pending in doomed:
-            pending.finish(
-                None,
-                ReplicaDiedError(
-                    f"replica {replica.slot} died holding this request"
-                ),
+    def _handle(self, replica: "_Replica", message: tuple) -> None:
+        """One message from a replica: a result, pong or warm ack."""
+        kind = message[0]
+        if kind == "result":
+            _, req_id, ok, prediction, error_type, error_msg = message
+            with replica.lock:
+                pending = replica.inflight.get(req_id)
+            if pending is None:
+                return  # caller already timed out and moved on
+            if ok:
+                pending(prediction, None)
+            else:
+                pending(None, _rebuild_error(error_type, error_msg))
+        elif kind == "pong":
+            replica.pings_unanswered = 0
+            replica.metrics_snapshot = message[2]["metrics"]
+        elif kind == "started":
+            warmed = message[1]
+            if warmed:
+                replica.warmed_models.add(warmed)
+            if replica.state == ReplicaState.STARTING:
+                self._set_state(replica, ReplicaState.READY)
+        elif kind == "warmed":
+            replica.warmed_models.add(message[1])
+        elif kind == "warm_failed":
+            _log.warning(
+                "replica %d failed to warm %s: %s",
+                replica.slot, message[1], message[2],
             )
+
+    def _close(self, slot: _Slot, graceful: bool) -> "_Replica":
+        """Mark the slot's replica DEAD, end its process, fail its in-flight."""
+        replica = slot.replica
+        slot.replica = None
+        self._set_state(replica, ReplicaState.DEAD)
+        if graceful:
+            replica.child.stop()
+        else:
+            replica.child.kill()
+        with replica.lock:
+            doomed = list(replica.inflight.values())
+            replica.inflight.clear()
+        for pending in doomed:
+            pending(None, ReplicaDiedError(
+                f"replica {replica.slot} died holding this request"
+            ))
         if doomed:
             _log.warning(
                 "replica %d death failed %d in-flight requests",
                 replica.slot, len(doomed),
             )
+        return replica
 
-    def _on_death(self, slot: _Slot, replica: "_Replica", reason: str) -> None:
+    def _on_death(self, slot: _Slot, reason: str) -> None:
+        replica = self._close(slot, graceful=False)
         _log.warning(
-            "replica %d (pid %s) dead: %s", replica.slot, replica.child.pid, reason
+            "replica %d (pid %s) dead: %s (exitcode %s)",
+            replica.slot, replica.child.pid, reason, replica.child.exitcode,
         )
         metrics().counter("fleet.replica_deaths").inc()
         self._retire_metrics(replica)
-        self._set_state(replica, ReplicaState.DEAD)
-        replica.child.kill()  # unblocks the receiver -> fails in-flight
-        self._fail_inflight(replica)
-        slot.replica = None
         slot.attempts += 1
         if self.config.respawn.retries_remaining(slot.attempts):
             delay = self.config.respawn.delay_s(slot.attempts, seed=slot.index)
@@ -872,43 +835,70 @@ class ReplicaFleet:
                 "replica %d respawn budget exhausted (%d attempts)",
                 slot.index, slot.attempts,
             )
-        self._update_gauges()
 
     # ------------------------------------------------------------------
-    # Monitor: heartbeats, health transitions, respawn, hot reload
+    # Supervisor: the parent's one thread
     # ------------------------------------------------------------------
-    def _monitor_loop(self) -> None:
-        poll = self.config.heartbeat_interval_s / 2.0
-        next_ping = 0.0
-        while self._running:
-            now = time.monotonic()
-            ping_due = now >= next_ping
-            if ping_due:
-                next_ping = now + self.config.heartbeat_interval_s
+    def _supervise(self) -> None:
+        """Read every replica pipe; run the periodic duties on a clock.
+
+        Only this thread reads and closes the replicas' pipe ends, and it
+        stops the replicas itself once ``stop()`` clears ``_running``.
+        """
+        interval = self.config.heartbeat_interval_s
+        next_tick = next_ping = time.monotonic()
+        try:
+            while self._running:
+                now = time.monotonic()
+                if now >= next_tick:
+                    ping_due = now >= next_ping
+                    if ping_due:
+                        next_ping = now + interval
+                    self._tick(now, ping_due)
+                    next_tick = now + interval / 2.0
+                self._collect(max(next_tick - time.monotonic(), 0.0))
+        finally:
             for slot in self._slots:
-                replica = slot.replica
-                if replica is None:
-                    if (
-                        not self._draining
-                        and now >= slot.next_spawn_at
-                        and self.config.respawn.retries_remaining(slot.attempts)
-                    ):
-                        metrics().counter("fleet.respawns_total").inc()
-                        self._spawn(slot, now)
-                    continue
-                if not replica.child.alive:
-                    self._on_death(
-                        slot, replica,
-                        f"process exited (exitcode {replica.child.exitcode})",
-                    )
-                    continue
-                if ping_due:
-                    self._heartbeat(slot, replica, now)
-                self._window_health(replica, now)
-            self._check_reload(now)
-            self._update_gauges()
-            self._wake.wait(poll)
-            self._wake.clear()
+                if slot.replica is not None:
+                    self._close(slot, graceful=True)
+
+    def _collect(self, timeout_s: float) -> None:
+        """Wait up to ``timeout_s`` for replica messages and handle them."""
+        live = {
+            slot.replica.child.conn: slot
+            for slot in self._slots if slot.replica is not None
+        }
+        try:
+            ready = mp_connection.wait(list(live), timeout=timeout_s)
+        except OSError:  # a pipe died mid-wait; its EOF shows next round
+            return
+        for conn in ready:
+            slot = live[conn]
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                self._on_death(slot, "pipe closed")
+                continue
+            self._handle(slot.replica, message)
+
+    def _tick(self, now: float, ping_due: bool) -> None:
+        """Respawn, heartbeats, window health, hot reload and gauges."""
+        for slot in self._slots:
+            replica = slot.replica
+            if replica is None:
+                if (
+                    not self._draining
+                    and now >= slot.next_spawn_at
+                    and self.config.respawn.retries_remaining(slot.attempts)
+                ):
+                    metrics().counter("fleet.respawns_total").inc()
+                    self._spawn(slot, now)
+                continue
+            if ping_due:
+                self._heartbeat(slot, replica, now)
+            self._window_health(replica, now)
+        self._check_reload(now)
+        self._update_gauges()
 
     def _heartbeat(self, slot: _Slot, replica: "_Replica", now: float) -> None:
         if replica.state == ReplicaState.DRAINING:
@@ -917,7 +907,7 @@ class ReplicaFleet:
         try:
             replica.child.send(("ping", replica.pings_unanswered))
         except (OSError, ValueError):
-            self._on_death(slot, replica, "heartbeat pipe closed")
+            self._on_death(slot, "heartbeat pipe closed")
             return
         misses = replica.pings_unanswered - 1  # the one just sent is pending
         if replica.state == ReplicaState.STARTING:
@@ -927,14 +917,12 @@ class ReplicaFleet:
             # budget.  Queued pings are answered once the loop begins.
             if now - replica.spawned_at > START_TIMEOUT_S:
                 self._on_death(
-                    slot, replica, f"never became READY within {START_TIMEOUT_S}s"
+                    slot, f"never became READY within {START_TIMEOUT_S}s"
                 )
             return
         if misses >= self.config.heartbeat_miss_dead:
             metrics().counter("fleet.heartbeat_misses").inc()
-            self._on_death(
-                slot, replica, f"heartbeat timeout ({misses} missed pings)"
-            )
+            self._on_death(slot, f"heartbeat timeout ({misses} missed pings)")
         elif (
             misses >= self.config.heartbeat_miss_degraded
             and replica.state == ReplicaState.READY
@@ -988,11 +976,7 @@ class ReplicaFleet:
                 "alias %r flipped %s -> %s; pre-warming fleet",
                 alias, pinned, resolved,
             )
-            for replica in self._live_replicas():
-                try:
-                    replica.child.send(("warm", resolved))
-                except (OSError, ValueError):
-                    continue
+            self._broadcast(("warm", resolved))
         target = self._reload_target
         if target is None:
             return
@@ -1034,7 +1018,6 @@ class ReplicaFleet:
             os.kill(pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             return None
-        self._wake.set()
         return pid
 
     def inject_fault(self, slot: int, kind: str, arg: float) -> bool:
@@ -1127,9 +1110,6 @@ class ReplicaFleet:
         self._update_gauges()
 
     def _update_gauges(self) -> None:
-        live = self._live_replicas()
-        metrics().gauge("fleet.replicas_live").set(len(live))
-        metrics().gauge("fleet.replicas_ready").set(
-            sum(1 for r in live if r.state == ReplicaState.READY)
-        )
+        metrics().gauge("fleet.replicas_live").set(len(self._live_replicas()))
+        metrics().gauge("fleet.replicas_ready").set(self.ready_count())
         metrics().gauge("fleet.inflight").set(self.queue_depth())

@@ -228,3 +228,89 @@ def test_stop_drains_admitted_requests(published_registry, micro_dataset):
     for thread in threads:
         thread.join()
     assert len(results) == 3
+
+
+def _callback_log():
+    """An ``on_done`` that records every call, keyed by request tag."""
+    calls: "dict[str, list]" = {}
+
+    def for_tag(tag: str):
+        calls[tag] = []
+        return lambda result, error: calls[tag].append((result, error))
+
+    return calls, for_tag
+
+
+def test_enqueue_calls_back_once_for_a_served_request(
+    published_registry, micro_dataset
+):
+    registry, model_id = published_registry
+    calls, on_done = _callback_log()
+    engine = InferenceEngine(registry, EngineConfig(max_delay_ms=1.0)).start()
+    engine.enqueue(micro_dataset.x[0], screen=False, on_done=on_done("served"))
+    engine.stop()
+    [(result, error)] = calls["served"]
+    assert error is None
+    assert result.model_id == model_id
+
+
+def test_enqueue_calls_back_once_when_the_deadline_expires_queued(
+    published_registry, micro_dataset
+):
+    registry, _ = published_registry
+    calls, on_done = _callback_log()
+    engine = InferenceEngine(registry, EngineConfig())
+    engine._running = True  # admit with no worker, so the request waits
+    engine.enqueue(
+        micro_dataset.x[0], screen=False, deadline_s=0.01,
+        on_done=on_done("expired"),
+    )
+    time.sleep(0.05)
+    engine._running = False
+    engine.start()  # the worker finds the request already expired
+    engine.stop()
+    [(result, error)] = calls["expired"]
+    assert result is None
+    assert isinstance(error, DeadlineExceededError)
+
+
+def test_enqueue_calls_back_once_when_the_batch_raises(
+    published_registry, micro_dataset, monkeypatch
+):
+    registry, _ = published_registry
+    calls, on_done = _callback_log()
+    engine = InferenceEngine(registry, EngineConfig(max_delay_ms=1.0))
+    loaded = engine.warm()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forward pass exploded")
+
+    monkeypatch.setattr(loaded.model, "predict_logits", boom)
+    engine.start()
+    engine.enqueue(micro_dataset.x[0], screen=False, on_done=on_done("failed"))
+    engine.stop()
+    [(result, error)] = calls["failed"]
+    assert result is None
+    assert isinstance(error, RuntimeError)
+
+
+def test_enqueue_calls_back_once_for_requests_drained_by_stop(
+    published_registry, micro_dataset
+):
+    registry, _ = published_registry
+    calls, on_done = _callback_log()
+    engine = InferenceEngine(
+        registry, EngineConfig(max_batch=2, max_delay_ms=50.0)
+    ).start()
+    for index in range(5):
+        engine.enqueue(
+            micro_dataset.x[index], screen=False, on_done=on_done(str(index))
+        )
+    engine.stop()
+    assert sorted(calls) == [str(index) for index in range(5)]
+    for outcomes in calls.values():
+        [(result, error)] = outcomes
+        assert error is None and result is not None
+    with pytest.raises(ServeError, match="not running"):
+        engine.enqueue(micro_dataset.x[0], on_done=on_done("late"))
+    assert calls["late"] == []

@@ -306,3 +306,16 @@ def test_engine_exposes_single_replica_view(engine):
     info = engine.describe()
     assert info["ready"] == 1 and info["total"] == 1
     assert info["draining"] is False
+
+
+def test_fleet_size_does_not_change_the_parent_thread_count(
+    published_registry,
+):
+    """One supervisor thread drives the fleet, whatever its size."""
+    registry, _ = published_registry
+    added = []
+    for replicas in (1, 3):
+        before = set(threading.enumerate())
+        with ReplicaFleet(registry, fast_config(replicas)):
+            added.append(set(threading.enumerate()) - before)
+    assert len(added[0]) == len(added[1]) == 1, added
